@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .datasets import DatasetBundle
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError, StateError
 from .layers import LayerStack
 from .losses import softmax
 from .models import MclModel, PriorModel, hosvd_init
@@ -247,8 +247,12 @@ def train_prior_semisup(prior: PriorModel, bundle: DatasetBundle,
         keep = np.ones(len(pool), dtype=bool)
         keep[idx] = False
         pool = pool[keep]
-        assert len(labeled_x) + len(pool) == total
-        assert len(labeled_x) == len(labeled_y)
+        if len(labeled_x) + len(pool) != total or len(labeled_y) != len(labeled_x):
+            raise StateError(
+                f"self-labeling lost track of samples: {len(labeled_x)} labeled "
+                f"with {len(labeled_y)} labels and {len(pool)} in the pool, "
+                f"{total} expected"
+            )
         if rounds >= cfg.self_label_round_cap:
             log.warning(
                 "self-labeling stopped at the %d-round cap with %d pool samples left",
@@ -355,7 +359,8 @@ def _transfer_pipeline(student, teacher, labeled_x, labeled_y, pool_x, bundle,
             x_all, y_all, bundle.val_x, bundle.val_y, cfg,
         ))
     for p, before in zip(teacher.all_params(), teacher_before):
-        assert np.array_equal(p.value, before), f"teacher parameter {p.name} changed"
+        if not np.array_equal(p.value, before):
+            raise StateError(f"teacher parameter {p.name} changed during knowledge transfer")
     return PipelineResult(student, stages, info)
 
 

@@ -252,9 +252,10 @@ class Upsample2(Layer):
 class ModeProjection(Layer):
     """Separable linear map: one factor matrix per sample mode.
 
-    Forward applies :func:`mclkit.tensor.multi_mode_product` to each sample
-    individually, so a batched pass and the tensor-level operation agree
-    bit-for-bit.
+    Forward and backward run the whole batch through the batched mode-product
+    kernel that :func:`mclkit.tensor.multi_mode_product` also uses.  That
+    kernel's per-sample results do not depend on the batch size, so
+    ``forward(x)[i]`` is bit-for-bit ``multi_mode_product(x[i], factors)``.
     """
 
     kind = "mode_projection"
@@ -292,8 +293,9 @@ class ModeProjection(Layer):
         return self.target_dims
 
     def forward(self, x, training=False):
-        ws = self.factors
-        out = np.stack([tensor.multi_mode_product(s, ws) for s in x])
+        if not np.isfinite(x).all():
+            raise ValueError("mode projection input contains non-finite values")
+        out = tensor._batched_mode_product(x, self.factors)
         if training:
             self._cache = x
         return out
@@ -301,20 +303,13 @@ class ModeProjection(Layer):
     def backward(self, grad):
         x = self._take_cache()
         ws = self.factors
-        k_modes = len(ws)
-        gin = np.empty_like(x)
-        wts = [w.T.copy() for w in ws]
-        for b in range(x.shape[0]):
-            s, g = x[b], grad[b]
-            for k in range(k_modes):
-                partial = s
-                for j in range(k_modes):
-                    if j != k:
-                        partial = tensor.mode_k_product(partial, ws[j], j)
-                axes = [a for a in range(k_modes) if a != k]
-                self.params[k].grad += np.tensordot(g, partial, axes=(axes, axes))
-            gin[b] = tensor.multi_mode_product(g, wts)
-        return gin
+        for k, p in enumerate(self.params):
+            # x through every factor but the k-th, contracted with grad over
+            # the batch and the other modes
+            partial = tensor._batched_mode_product(x, ws[:k] + [None] + ws[k + 1 :])
+            axes = [a for a in range(grad.ndim) if a != k + 1]
+            p.grad += np.tensordot(grad, partial, axes=(axes, axes))
+        return tensor._batched_mode_product(grad, [w.T for w in ws])
 
 
 class GlobalAvgPool(Layer):

@@ -4,6 +4,11 @@ Tensors are plain ``numpy.ndarray`` objects in row-major (C) order, so the
 last index varies fastest.  All functions are pure: inputs are never mutated
 and every returned array is freshly allocated.  Mode indices are 0-based,
 matching numpy axis conventions.
+
+Every mode product, here and in :class:`mclkit.layers.ModeProjection`, runs
+through one batched kernel.  Its result for a sample does not depend on the
+batch size, so a batched pass is bit-for-bit equal to :func:`multi_mode_product`
+applied to each sample alone.
 """
 
 from __future__ import annotations
@@ -48,6 +53,32 @@ def _as_matrix(m, name="matrix"):
     return a
 
 
+def _batched_mode_product(x, ws) -> np.ndarray:
+    """Multiply mode ``k + 1`` of ``x`` by ``ws[k]`` (axis 0 is the batch); a
+    ``None`` factor skips its mode.  Each product is one stacked matmul of the
+    contiguous ``(batch, rows, I_k)`` array by ``w.T``, so every sample gets
+    the same GEMM call whatever the batch size.  Callers do the checks."""
+    out = x
+    for k, w in enumerate(ws):
+        if w is None:
+            continue
+        moved = np.moveaxis(out, k + 1, -1)
+        rows = int(np.prod(moved.shape[1:-1]))
+        flat = np.ascontiguousarray(moved).reshape(len(out), rows, w.shape[1])
+        out = np.moveaxis((flat @ w.T).reshape(moved.shape[:-1] + (w.shape[0],)), -1, k + 1)
+    return out
+
+
+def _as_factor(w, t, k):
+    w = _as_matrix(w)
+    if w.shape[1] != t.shape[k]:
+        raise ShapeMismatchError(
+            f"mode {k}: factor has {w.shape[1]} columns but tensor mode has "
+            f"size {t.shape[k]}"
+        )
+    return w
+
+
 def mode_k_product(t, w, k: int) -> np.ndarray:
     """Contract mode ``k`` of tensor ``t`` with matrix ``w``.
 
@@ -55,16 +86,9 @@ def mode_k_product(t, w, k: int) -> np.ndarray:
     ``t``'s shape with mode ``k`` replaced by ``J``.
     """
     t = _as_tensor(t)
-    w = _as_matrix(w)
     if not 0 <= k < t.ndim:
         raise ShapeMismatchError(f"mode {k} out of range for a {t.ndim}-mode tensor")
-    if w.shape[1] != t.shape[k]:
-        raise ShapeMismatchError(
-            f"mode {k}: factor has {w.shape[1]} columns but tensor mode has "
-            f"size {t.shape[k]}"
-        )
-    out = np.tensordot(t, w, axes=([k], [1]))
-    return np.moveaxis(out, -1, k)
+    return _batched_mode_product(t[None], [None] * k + [_as_factor(w, t, k)])[0]
 
 
 def multi_mode_product(t, ws: Sequence[np.ndarray]) -> np.ndarray:
@@ -78,10 +102,7 @@ def multi_mode_product(t, ws: Sequence[np.ndarray]) -> np.ndarray:
         raise ShapeMismatchError(
             f"expected {t.ndim} factor matrices, got {len(ws)}"
         )
-    out = t
-    for k, w in enumerate(ws):
-        out = mode_k_product(out, w, k)
-    return out
+    return _batched_mode_product(t[None], [_as_factor(w, t, k) for k, w in enumerate(ws)])[0]
 
 
 def vectorize(t) -> np.ndarray:

@@ -20,8 +20,9 @@ from mclkit import (
     train_prior_semisup,
     train_prior_supervised,
 )
+from mclkit import distill
 from mclkit.distill import copy_stack_params
-from mclkit.errors import ConfigError, ShapeMismatchError
+from mclkit.errors import ConfigError, ShapeMismatchError, StateError
 from mclkit.layers import LayerStack, ModeProjection
 from mclkit.models import PriorModel
 from mclkit.optimize import SupervisedObjective, train
@@ -225,6 +226,18 @@ class TestMclwpPipeline:
         train_mclwp(_student(seed=10), teacher, bundle, quick_cfg, StageMask())
         for p, b in zip(teacher.all_params(), before):
             assert np.array_equal(p.value, b)
+
+    def test_teacher_change_during_a_stage_raises(self, bundle, quick_cfg, monkeypatch):
+        teacher = build_prior(SIGNAL, MEAS, 3, width=8, seed=0)
+        real_stage1 = distill.stage1_transfer
+
+        def stage1_that_touches_the_teacher(student, teacher, *args):
+            teacher.head.params[0].value[...] += 1
+            return real_stage1(student, teacher, *args)
+
+        monkeypatch.setattr(distill, "stage1_transfer", stage1_that_touches_the_teacher)
+        with pytest.raises(StateError, match="teacher parameter"):
+            train_mclwp(_student(seed=10), teacher, bundle, quick_cfg, StageMask())
 
     def test_masks_enumerate_eight_distinct(self):
         masks = StageMask.all_masks()

@@ -46,6 +46,18 @@ def test_mode_projection_identity_factors():
     assert np.array_equal(stack.forward(x), x)
 
 
+# (signal or pooled shape, measurement shape) of every ModeProjection that
+# build_prior / build_mcl create at desk and paper scale
+MODEL_PROJECTIONS = [
+    ((16, 16, 1), (4, 4, 1)),
+    ((32, 32, 3), (6, 6, 1)),
+    ((32, 32, 3), (14, 11, 2)),
+    ((4, 4, 12), (4, 4, 1)),
+    ((8, 8, 16), (6, 6, 1)),
+    ((16, 16, 16), (14, 11, 2)),
+]
+
+
 def test_mode_projection_matches_tensor_op_bitwise():
     rng = np.random.default_rng(2)
     proj = ModeProjection((4, 5, 2), (2, 3, 1), rng=rng, dtype=np.float64)
@@ -55,6 +67,52 @@ def test_mode_projection_matches_tensor_op_bitwise():
     for i in range(len(x)):
         direct = tensor.multi_mode_product(x[i], proj.factors)
         assert np.array_equal(out[i], direct)
+    # float32 at the model shapes, sensing and synthesis direction: every
+    # sample's result is independent of the batch it travels in
+    for signal, measured in MODEL_PROJECTIONS:
+        for src, dst in ((signal, measured), (measured, signal)):
+            proj = ModeProjection(src, dst, rng=rng, dtype=np.float32)
+            for batch in (1, 32, 256):
+                x = rng.normal(size=(batch,) + src).astype(np.float32)
+                out = proj.forward(x)
+                for i in range(batch):
+                    where = f"{src}->{dst}, batch {batch}, sample {i}"
+                    direct = tensor.multi_mode_product(x[i], proj.factors)
+                    assert np.array_equal(out[i], direct), where
+                    assert np.array_equal(out[i], proj.forward(x[i : i + 1])[0]), where
+
+
+def test_mode_projection_backward_matches_per_sample_loop():
+    # reference: the per-sample, per-mode loop, in float64; the batched
+    # factor gradients sum in another order, so float32 gets a tolerance
+    rng = np.random.default_rng(11)
+    for src, dst in [((16, 16, 1), (4, 4, 1)), ((4, 4, 1), (4, 4, 12)),
+                     ((32, 32, 3), (14, 11, 2))]:
+        proj = ModeProjection(src, dst, rng=rng, dtype=np.float32)
+        x = rng.normal(size=(32,) + src).astype(np.float32)
+        g = rng.normal(size=(32,) + dst).astype(np.float32)
+        proj.forward(x, training=True)
+        gin = proj.backward(g)
+        ws = proj.factors
+        for k, p in enumerate(proj.params):
+            axes = [a for a in range(len(src)) if a != k]
+            ref = 0.0
+            for s, gs in zip(x.astype(np.float64), g.astype(np.float64)):
+                for j, w in enumerate(ws):
+                    if j != k:
+                        s = tensor.mode_k_product(s, w, j)
+                ref = ref + np.tensordot(gs, s, axes=(axes, axes))
+            np.testing.assert_allclose(p.grad, ref, rtol=1e-4, atol=1e-4 * np.abs(ref).max())
+        for i in range(len(g)):
+            assert np.array_equal(gin[i], tensor.multi_mode_product(g[i], [w.T for w in ws]))
+
+
+def test_mode_projection_rejects_non_finite_input():
+    proj = ModeProjection((4, 5, 2), (2, 3, 1), rng=np.random.default_rng(6))
+    x = np.zeros((3, 4, 5, 2), dtype=np.float32)
+    x[1, 2, 3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        proj.forward(x)
 
 
 def test_linear_stack_input_gradient_is_transpose():
@@ -126,6 +184,9 @@ def _fd_cases(rng):
         ("mode_projection", LayerStack(
             [ModeProjection((4, 5, 2), (2, 3, 1), rng=rng, dtype=dt)], (4, 5, 2)),
          (2, 4, 5, 2), ("l1", (2, 2, 3, 1)), 1e-6),
+        ("mode_projection_expanding", LayerStack(
+            [ModeProjection((2, 3, 1), (4, 5, 2), rng=rng, dtype=dt)], (2, 3, 1)),
+         (3, 2, 3, 1), ("l1", (3, 4, 5, 2)), 1e-6),
         ("global_avg_pool", LayerStack([GlobalAvgPool()], (4, 4, 3)),
          (2, 4, 4, 3), ("l1", (2, 3)), 1e-6),
         ("flatten", LayerStack([Flatten(), Dense(12, 3, rng, dtype=dt)], (3, 4, 1)),
