@@ -184,14 +184,6 @@ def _validate_run(args, values):
         raise ConfigError(f"labeled fraction {lf} outside (0, 1]")
 
 
-def _write_history(stages, path):
-    lines = ["epoch,lr,train_loss,val_metric"]
-    for history in stages.values():
-        for epoch, lr, loss, val in history.rows:
-            lines.append(f"{epoch},{lr:g},{loss!r},{val!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _write_manifest(path, command, cfg, extra):
     manifest = {"command": command, "config": asdict(cfg)}
     manifest.update(extra)
@@ -220,10 +212,12 @@ def _run_training(args, values, seeds, trainer):
         model, result, extra = trainer(bundle, cfg, seed)
         from . import checkpoint
         from .evaluate import accuracy
+        from .optimize import TrainHistory
 
         test_acc = accuracy(model, bundle.test_x, bundle.test_y)
         checkpoint.save_checkpoint(model, out / "checkpoint.mclk")
-        _write_history(result.stages, out / "history.csv")
+        rows = [r for h in result.stages.values() for r in h.rows]
+        TrainHistory(rows=rows).write_csv(out / "history.csv")
         extra = dict(extra)
         extra.update({
             "seed": seed,
@@ -293,7 +287,7 @@ def _cmd_eval(args, values, seeds):
     import time
 
     from . import checkpoint
-    from .evaluate import CSV_HEADER, accuracy, knn_compressive
+    from .evaluate import _rows_to_csv, accuracy, knn_compressive
 
     bundle = _load_bundle(args, values)
     model = checkpoint.load_checkpoint(args.checkpoint)
@@ -309,10 +303,10 @@ def _cmd_eval(args, values, seeds):
                                 bundle.test_x, bundle.test_y, k=k)
         metric = f"knn{k}_accuracy"
     runtime = time.perf_counter() - started
-    config = str(model.measurement)
-    lines = [CSV_HEADER,
-             f"eval,,,,{config},{seeds[0]},{metric},{value!r}"]
-    (out / "report.csv").write_text("\n".join(lines) + "\n")
+    row = {"run_id": "eval", "mask_s1": "", "mask_s2": "", "mask_s3": "",
+           "config": str(model.measurement), "seed": seeds[0], "metric": metric,
+           "value": value}
+    (out / "report.csv").write_text(_rows_to_csv([row]))
     print(f"{metric}: {value:.4f} ({runtime:.1f}s)")
     return 0
 

@@ -14,7 +14,6 @@ activities; the final inference training always runs.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,9 +24,7 @@ from .layers import LayerStack
 from .losses import softmax
 from .models import MclModel, PriorModel, hosvd_init
 from .optimize import (
-    DistillationObjective,
     OutputMatchingObjective,
-    ReconstructionObjective,
     SupervisedObjective,
     TrainConfig,
     TrainHistory,
@@ -104,14 +101,6 @@ class PipelineResult:
         return {"stages": stages, **self.info}
 
 
-def _timed(stages, info, name, fn):
-    t0 = time.perf_counter()
-    history = fn()
-    history.seconds = time.perf_counter() - t0
-    stages[name] = history
-    return history
-
-
 def copy_stack_params(src: LayerStack, dst: LayerStack, strict=False) -> bool:
     """Copy parameters between structurally identical stacks.
 
@@ -154,20 +143,19 @@ def train_prior_supervised(prior: PriorModel, bundle: DatasetBundle,
     """Train the teacher on labeled data: head on raw signals, then the
     encoder/decoder as an l1 autoencoder, then all three parts jointly."""
     stages: dict[str, TrainHistory] = {}
-    info: dict = {"kind": "prior_supervised"}
-    _timed(stages, info, "head_pretrain", lambda: train(
+    stages["head_pretrain"] = train(
         SupervisedObjective([prior.head]),
         bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-    ))
-    _timed(stages, info, "reconstruction", lambda: train(
-        ReconstructionObjective([prior.sensing, prior.synthesis]),
+    )
+    stages["reconstruction"] = train(
+        OutputMatchingObjective([prior.sensing, prior.synthesis]),
         bundle.train_x, None, bundle.val_x, None, cfg,
-    ))
-    _timed(stages, info, "joint", lambda: train(
+    )
+    stages["joint"] = train(
         SupervisedObjective([prior.sensing, prior.synthesis, prior.head]),
         bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-    ))
-    return PipelineResult(prior, stages, info)
+    )
+    return PipelineResult(prior, stages, {"kind": "prior_supervised"})
 
 
 def self_label_select(teacher, pool_x, confidence_threshold: float):
@@ -207,15 +195,15 @@ def train_prior_semisup(prior: PriorModel, bundle: DatasetBundle,
     total = len(bundle.train_x) + len(pool)
     stages: dict[str, TrainHistory] = {}
     info: dict = {"kind": "prior_semisup", "rounds": []}
-    _timed(stages, info, "head_pretrain", lambda: train(
+    stages["head_pretrain"] = train(
         SupervisedObjective([prior.head]),
         bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-    ))
+    )
     all_x = np.concatenate([bundle.train_x, pool]) if len(pool) else bundle.train_x
-    _timed(stages, info, "reconstruction", lambda: train(
-        ReconstructionObjective([prior.sensing, prior.synthesis]),
+    stages["reconstruction"] = train(
+        OutputMatchingObjective([prior.sensing, prior.synthesis]),
         all_x, None, bundle.val_x, None, cfg,
-    ))
+    )
     labeled_x = bundle.train_x
     labeled_y = bundle.train_y
     rounds = 0
@@ -231,9 +219,9 @@ def train_prior_semisup(prior: PriorModel, bundle: DatasetBundle,
             lr_switch_epochs=(),
             seed=cfg.seed + rounds,
         )
-        _timed(stages, info, f"round_{rounds}", lambda: train(
+        stages[f"round_{rounds}"] = train(
             objective, labeled_x, labeled_y, bundle.val_x, bundle.val_y, round_cfg,
-        ))
+        )
         idx, labels = self_label_select(prior, pool, cfg.confidence_threshold)
         info["rounds"].append(
             {"round": rounds, "labeled": int(len(labeled_x)),
@@ -310,7 +298,7 @@ def stage3_transfer(student: MclModel, teacher, x, y, val_x, val_y,
         )
     if copy_weights:
         copy_stack_params(teacher.head, student.head, strict=strict_copy)
-    objective = DistillationObjective(
+    objective = SupervisedObjective(
         [student.sensing, student.synthesis, student.head],
         [teacher.sensing, teacher.synthesis, teacher.head],
         cfg.distill_weight,
@@ -329,35 +317,28 @@ def _transfer_pipeline(student, teacher, labeled_x, labeled_y, pool_x, bundle,
                        cfg, mask: StageMask) -> PipelineResult:
     _check_measurement_match(student, teacher)
     teacher_before = [p.value.copy() for p in teacher.all_params()]
-    x_all = (
-        np.concatenate([labeled_x, pool_x]) if len(pool_x) else np.concatenate([labeled_x])
-    )
+    x_all = np.concatenate([labeled_x, pool_x])
     stages: dict[str, TrainHistory] = {}
     info: dict = {"kind": "knowledge_transfer", "mask": str(mask),
                   "n_labeled": int(len(labeled_x)), "n_pool": int(len(pool_x))}
     if mask.sensing:
-        _timed(stages, info, "sensing_transfer", lambda: stage1_transfer(
-            student, teacher, x_all, bundle.val_x, cfg,
-        ))
+        stages["sensing_transfer"] = stage1_transfer(student, teacher, x_all, bundle.val_x, cfg)
     if mask.synthesis:
-        _timed(stages, info, "synthesis_transfer", lambda: stage2_transfer(
+        stages["synthesis_transfer"] = stage2_transfer(
             student, teacher, x_all, bundle.val_x, cfg,
-        ))
-    if len(pool_x):
-        y_all = np.concatenate([labeled_y, _teacher_hard_labels(teacher, pool_x)])
-    else:
-        y_all = np.concatenate([labeled_y])
+        )
+    y_all = np.concatenate([labeled_y, _teacher_hard_labels(teacher, pool_x)])
     if mask.distill:
-        _timed(stages, info, "inference", lambda: stage3_transfer(
+        stages["inference"] = stage3_transfer(
             student, teacher, x_all, y_all, bundle.val_x, bundle.val_y, cfg,
-        ))
+        )
     else:
         # Only the teacher-prediction pull is dropped; plain inference
         # training still runs, from whatever the earlier stages left behind.
-        _timed(stages, info, "inference", lambda: train(
+        stages["inference"] = train(
             SupervisedObjective([student.sensing, student.synthesis, student.head]),
             x_all, y_all, bundle.val_x, bundle.val_y, cfg,
-        ))
+        )
     for p, before in zip(teacher.all_params(), teacher_before):
         if not np.array_equal(p.value, before):
             raise StateError(f"teacher parameter {p.name} changed during knowledge transfer")
@@ -401,17 +382,16 @@ def train_mcl_baseline(student: MclModel, bundle: DatasetBundle,
     if student.fs_kind != "multilinear":
         raise ConfigError("the baseline student uses multilinear feature synthesis")
     stages: dict[str, TrainHistory] = {}
-    info: dict = {"kind": "mcl_baseline"}
-    _timed(stages, info, "head_pretrain", lambda: train(
+    stages["head_pretrain"] = train(
         SupervisedObjective([student.head]),
         bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-    ))
+    )
     hosvd_init(student, bundle.train_x)
-    _timed(stages, info, "end_to_end", lambda: train(
+    stages["end_to_end"] = train(
         SupervisedObjective([student.sensing, student.synthesis, student.head]),
         bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-    ))
-    return PipelineResult(student, stages, info)
+    )
+    return PipelineResult(student, stages, {"kind": "mcl_baseline"})
 
 
 def train_mclwop(student: MclModel, bundle: DatasetBundle,
@@ -420,13 +400,12 @@ def train_mclwop(student: MclModel, bundle: DatasetBundle,
     l1 reconstruction pretraining of sensing + synthesis, then end-to-end
     inference training."""
     stages: dict[str, TrainHistory] = {}
-    info: dict = {"kind": "mclwop"}
-    _timed(stages, info, "reconstruction", lambda: train(
-        ReconstructionObjective([student.sensing, student.synthesis]),
+    stages["reconstruction"] = train(
+        OutputMatchingObjective([student.sensing, student.synthesis]),
         bundle.train_x, None, bundle.val_x, None, cfg,
-    ))
-    _timed(stages, info, "end_to_end", lambda: train(
+    )
+    stages["end_to_end"] = train(
         SupervisedObjective([student.sensing, student.synthesis, student.head]),
         bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-    ))
-    return PipelineResult(student, stages, info)
+    )
+    return PipelineResult(student, stages, {"kind": "mclwop"})

@@ -26,7 +26,7 @@ from .distill import (
 )
 from .errors import ConfigError
 from .models import build_mcl, build_prior
-from .optimize import TrainConfig, _forward_chunks
+from .optimize import TrainConfig, _path_accuracy
 
 __all__ = [
     "EvalReport",
@@ -67,19 +67,12 @@ def _rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _predicted_classes(model, x, chunk=256):
-    logits = _forward_chunks(
-        [model.sensing, model.synthesis, model.head], x, chunk=chunk
-    )
-    return logits.argmax(axis=1)
-
-
 def accuracy(model, test_x, test_y) -> float:
     """Fraction of argmax predictions matching the labels (ties resolve to the
     lowest class index)."""
     if len(test_x) == 0:
         raise ConfigError("empty evaluation set")
-    return float(np.mean(_predicted_classes(model, test_x) == test_y))
+    return _path_accuracy([model.sensing, model.synthesis, model.head], test_x, test_y)
 
 
 def knn_compressive(model, train_x, train_y, test_x, test_y, k=5) -> float:
@@ -109,10 +102,10 @@ def knn_compressive(model, train_x, train_y, test_x, test_y, k=5) -> float:
 
 
 @dataclass
-class AblationReport:
+class _CsvReport:
+    """Report rows in the shared CSV schema."""
+
     rows: list = field(default_factory=list)
-    teacher_checksums: list = field(default_factory=list)
-    results: dict = field(default_factory=dict)
 
     def csv_text(self) -> str:
         return _rows_to_csv(self.rows)
@@ -120,6 +113,12 @@ class AblationReport:
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.csv_text())
+
+
+@dataclass
+class AblationReport(_CsvReport):
+    teacher_checksums: list = field(default_factory=list)
+    results: dict = field(default_factory=dict)
 
 
 def run_ablation(bundle: DatasetBundle, cfg: TrainConfig, measurement,
@@ -157,17 +156,9 @@ def run_ablation(bundle: DatasetBundle, cfg: TrainConfig, measurement,
 
 
 @dataclass
-class PriorEffectReport:
-    rows: list = field(default_factory=list)
+class PriorEffectReport(_CsvReport):
     medians: dict = field(default_factory=dict)
     param_counts: dict = field(default_factory=dict)
-
-    def csv_text(self) -> str:
-        return _rows_to_csv(self.rows)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
 
 
 def compare_prior_effect(bundle: DatasetBundle, cfg: TrainConfig, measurement,

@@ -29,9 +29,7 @@ __all__ = [
     "TrainHistory",
     "Objective",
     "SupervisedObjective",
-    "ReconstructionObjective",
     "OutputMatchingObjective",
-    "DistillationObjective",
     "train",
 ]
 
@@ -196,7 +194,7 @@ class TrainHistory:
     best_value: float = math.nan
     higher_is_better: bool = True
     n_train: int = 0
-    seconds: float = 0.0
+    seconds: float = 0.0  # wall time of the epoch loop, set by train()
 
     def lr_sequence(self):
         return [r[1] for r in self.rows]
@@ -240,15 +238,6 @@ def _path_accuracy(stacks, x, y, chunk=256):
     return float(np.mean(logits.argmax(axis=1) == y))
 
 
-def _ce_step(stacks, x, y) -> float:
-    # Shared by supervised training and zero-weight distillation so the two
-    # produce bit-identical loss traces.
-    logits = _forward_path(stacks, x, training=True)
-    loss, grad = cross_entropy(logits, y)
-    _backward_path(stacks, grad)
-    return loss
-
-
 class Objective:
     """One trainable optimization target: batch loss/gradients plus a
     validation score used for model selection."""
@@ -264,88 +253,63 @@ class Objective:
 
 
 class SupervisedObjective(Objective):
-    """Cross-entropy over a stack pipeline; selects on validation accuracy."""
+    """Cross-entropy over a stack pipeline, plus ``weight`` times the
+    symmetric KL between a frozen teacher pipeline's predictions and the
+    student's; selects on validation accuracy.
 
-    def __init__(self, path):
+    With weight 0 the teacher is never run, so the loss is plain
+    cross-entropy whether or not a teacher path is given.
+    """
+
+    def __init__(self, path, teacher_path=(), weight=0.0):
         self.path = tuple(path)
+        self.teacher_path = tuple(teacher_path)
+        self.weight = float(weight)
+        if self.weight != 0.0 and not self.teacher_path:
+            raise ConfigError("a non-zero distillation weight needs a teacher path")
         self.trainable = self.path
 
     def batch_loss(self, x, y):
-        return _ce_step(self.path, x, y)
+        logits = _forward_path(self.path, x, training=True)
+        loss, grad = cross_entropy(logits, y)
+        if self.weight != 0.0:
+            teacher_logits = _forward_path(self.teacher_path, x, training=False)
+            kl, _, g_kl = symmetric_kl(teacher_logits, logits)
+            loss += self.weight * kl
+            grad = grad + self.weight * g_kl
+        _backward_path(self.path, grad)
+        return loss
 
     def val_metric(self, x, y):
         return _path_accuracy(self.path, x, y)
 
 
-class ReconstructionObjective(Objective):
-    """Mean-absolute reconstruction of the input through encoder + decoder;
-    selects on lowest validation loss."""
+class OutputMatchingObjective(Objective):
+    """Mean-absolute gap between a trainable pipeline and a frozen reference
+    pipeline evaluated on the same inputs; selects on lowest validation gap.
+
+    An empty reference path is the identity, so the target is the input
+    itself: l1 reconstruction through an encoder + decoder pipeline.
+    """
 
     higher_is_better = False
 
-    def __init__(self, path):
+    def __init__(self, path, teacher_path=()):
         self.path = tuple(path)
+        self.teacher_path = tuple(teacher_path)
         self.trainable = self.path
 
     def batch_loss(self, x, y):
         out = _forward_path(self.path, x, training=True)
-        loss, grad, _ = l1_loss(out, x)
+        target = _forward_path(self.teacher_path, x, training=False)
+        loss, grad, _ = l1_loss(out, target)
         _backward_path(self.path, grad)
         return loss
 
     def val_metric(self, x, y):
         out = _forward_chunks(self.path, x)
-        return l1_loss(out, x)[0]
-
-
-class OutputMatchingObjective(Objective):
-    """Mean-absolute gap between a trainable pipeline and a frozen reference
-    pipeline evaluated on the same inputs; selects on lowest validation gap."""
-
-    higher_is_better = False
-
-    def __init__(self, student_path, teacher_path):
-        self.student_path = tuple(student_path)
-        self.teacher_path = tuple(teacher_path)
-        self.trainable = self.student_path
-
-    def _target(self, x):
-        return _forward_path(self.teacher_path, x, training=False)
-
-    def batch_loss(self, x, y):
-        out = _forward_path(self.student_path, x, training=True)
-        loss, grad, _ = l1_loss(out, self._target(x))
-        _backward_path(self.student_path, grad)
-        return loss
-
-    def val_metric(self, x, y):
-        out = _forward_chunks(self.student_path, x)
         target = _forward_chunks(self.teacher_path, x)
         return l1_loss(out, target)[0]
-
-
-class DistillationObjective(Objective):
-    """Cross-entropy plus weighted symmetric KL against a frozen teacher's
-    predictions; with weight 0 this is exactly supervised training."""
-
-    def __init__(self, student_path, teacher_path, weight):
-        self.student_path = tuple(student_path)
-        self.teacher_path = tuple(teacher_path)
-        self.weight = float(weight)
-        self.trainable = self.student_path
-
-    def batch_loss(self, x, y):
-        if self.weight == 0.0:
-            return _ce_step(self.student_path, x, y)
-        logits = _forward_path(self.student_path, x, training=True)
-        ce, g_ce = cross_entropy(logits, y)
-        teacher_logits = _forward_path(self.teacher_path, x, training=False)
-        kl, _, g_kl = symmetric_kl(teacher_logits, logits)
-        _backward_path(self.student_path, g_ce + self.weight * g_kl)
-        return ce + self.weight * kl
-
-    def val_metric(self, x, y):
-        return _path_accuracy(self.student_path, x, y)
 
 
 def train(objective: Objective, train_x, train_y, val_x, val_y, cfg: TrainConfig,

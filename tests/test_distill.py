@@ -184,12 +184,12 @@ class TestStage3:
             assert np.array_equal(pa.value, pb.value)
 
     def test_matching_predictions_zero_distillation_term(self, bundle, trained_teacher):
-        from mclkit.optimize import DistillationObjective, _forward_path
+        from mclkit.optimize import _forward_path
         from mclkit.losses import cross_entropy
 
         teacher, _ = trained_teacher
         path = (teacher.sensing, teacher.synthesis, teacher.head)
-        objective = DistillationObjective(path, path, weight=1.0)
+        objective = SupervisedObjective(path, path, weight=1.0)
         x, y = bundle.train_x[:8], bundle.train_y[:8]
         for s in path:
             s.zero_grads()
@@ -251,6 +251,24 @@ class TestMclwpPipeline:
         teacher, _ = trained_teacher
         result = train_mclwp(_student(seed=11), teacher, bundle, quick_cfg, StageMask())
         assert list(result.stages) == ["sensing_transfer", "synthesis_transfer", "inference"]
+
+
+class TestStageTiming:
+    def test_every_stage_is_timed(self, bundle, trained_teacher):
+        teacher, prior_result = trained_teacher
+        cfg = TrainConfig(epochs=1, lr_switch_epochs=(), lr_values=(1e-3,),
+                          batch_size=32, seed=0, epochs_per_round=1)
+        semi = split_semisup(bundle, 0.5, seed=0)
+        results = [
+            prior_result,
+            train_prior_semisup(build_prior(SIGNAL, MEAS, 3, width=4, seed=0), semi, cfg),
+            train_mclwp(_student(seed=18), teacher, bundle, cfg, StageMask()),
+        ]
+        for result in results:
+            stages = result.report()["stages"]
+            assert stages
+            for name, stage in stages.items():
+                assert stage["seconds"] > 0, name
 
 
 class TestBaselines:

@@ -3,8 +3,10 @@ import pytest
 
 from mclkit.errors import ConfigError, TrainingDivergedError
 from mclkit.layers import Dense, LayerStack, Param
+from mclkit.losses import l1_loss
 from mclkit.optimize import (
     AdamState,
+    OutputMatchingObjective,
     SupervisedObjective,
     TrainConfig,
     augment,
@@ -260,3 +262,35 @@ class TestTrainLoop:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "epoch,lr,train_loss,val_metric"
         assert len(lines) == 4
+
+
+class _ExplodingStack:
+    def forward(self, x, training=False):
+        raise AssertionError("the teacher must not run at weight 0")
+
+
+class TestObjectives:
+    def test_empty_reference_reconstructs_the_input(self):
+        x, _ = _toy_problem(20)
+        rng = np.random.default_rng(0)
+        stack = LayerStack([Dense(6, 6, rng)], (6,), name="autoencoder")
+        objective = OutputMatchingObjective([stack])
+        stack.zero_grads()
+        expected_loss = l1_loss(stack.forward(x, training=True), x)[0]
+        assert objective.batch_loss(x, None) == expected_loss
+        assert objective.val_metric(x, None) == l1_loss(stack.forward(x), x)[0]
+
+    def test_zero_weight_never_runs_the_teacher(self):
+        x, y = _toy_problem()
+        cfg = TrainConfig(epochs=4, lr_switch_epochs=(), lr_values=(1e-3,), seed=2)
+        plain, with_teacher = _toy_stack(seed=8), _toy_stack(seed=8)
+        ha = train(SupervisedObjective([plain]), x, y, x, y, cfg)
+        hb = train(SupervisedObjective([with_teacher], [_ExplodingStack()], weight=0.0),
+                   x, y, x, y, cfg)
+        assert ha.rows == hb.rows
+        for a, b in zip(plain.params, with_teacher.params):
+            assert np.array_equal(a.value, b.value)
+
+    def test_nonzero_weight_needs_a_teacher(self):
+        with pytest.raises(ConfigError):
+            SupervisedObjective([_toy_stack()], weight=0.5)
