@@ -13,40 +13,48 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+import time
+from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
+from . import checkpoint
+from .datasets import load_dataset, split_semisup
+from .distill import (
+    StageMask,
+    train_mcl_baseline,
+    train_mclwop,
+    train_mclwp,
+    train_mclwp_semisup,
+    train_prior_semisup,
+    train_prior_supervised,
+)
 from .errors import CheckpointError, ConfigError, DatasetError, MclError
+from .evaluate import _rows_to_csv, accuracy, knn_compressive, run_ablation
+from .models import MeasurementConfig, build_mcl, build_prior
+from .optimize import TrainConfig, TrainHistory
 
+# Config-file keys and their value types: every TrainConfig field but the
+# seed (flag-only, like --method and --mask), typed by its default, where a
+# tuple default reads as a comma-separated list of its first element's type;
+# plus the model and evaluation settings.
 _CONFIG_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "max_norm": float,
-    "seed": int,
-    "distill_weight": float,
-    "confidence_threshold": float,
-    "epochs_per_round": int,
-    "self_label_round_cap": int,
-    "shift_fraction": float,
-    "flip": None,  # bool, parsed specially
-    "lr_values": None,
-    "lr_switch_epochs": None,
-    "measurement": str,
-    "width": int,
-    "capacity": str,
-    "labeled_fraction": float,
-    "k": int,
-    "method": str,
-    "mask": str,
+    f.name: (type(f.default[0]),) if isinstance(f.default, tuple) else type(f.default)
+    for f in fields(TrainConfig) if f.name != "seed"
 }
+_CONFIG_KEYS.update(measurement=str, width=int, capacity=str, labeled_fraction=float, k=int)
 
 
-def _parse_bool(text):
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"cannot parse boolean {text!r}")
+def _parse_value(kind, text):
+    if isinstance(kind, tuple):
+        return tuple(kind[0](v) for v in text.split(",")) if text else ()
+    if kind is bool:
+        if text.lower() in ("1", "true", "yes", "on"):
+            return True
+        if text.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"cannot parse boolean {text!r}")
+    return kind(text)
 
 
 def read_config_file(path) -> dict:
@@ -62,14 +70,10 @@ def read_config_file(path) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "flip":
-            values[key] = _parse_bool(val)
-        elif key == "lr_values":
-            values[key] = tuple(float(v) for v in val.split(","))
-        elif key == "lr_switch_epochs":
-            values[key] = tuple(int(v) for v in val.split(",")) if val else ()
-        else:
-            values[key] = _CONFIG_KEYS[key](val)
+        try:
+            values[key] = _parse_value(_CONFIG_KEYS[key], val)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -80,9 +84,8 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_dataset=True):
-        if need_dataset:
-            p.add_argument("--dataset", required=True, help="dataset directory")
+    def common(p):
+        p.add_argument("--dataset", required=True, help="dataset directory")
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", default="0", help="seed list, e.g. 0 or 0,1,2")
@@ -98,10 +101,12 @@ def _build_parser():
 
     p = sub.add_parser("train-prior", help="train the teacher on labeled data")
     common(p)
+    p.set_defaults(run=partial(_cmd_train_prior, semisup=False))
 
     p = sub.add_parser("train-prior-semisup",
                        help="train the teacher with self-labeling on unlabeled data")
     common(p)
+    p.set_defaults(run=partial(_cmd_train_prior, semisup=True))
 
     p = sub.add_parser("train-student", help="train a student model")
     common(p)
@@ -109,16 +114,19 @@ def _build_parser():
                    choices=["mcl", "mclwop", "mclwp", "mclwp-s"])
     p.add_argument("--teacher", help="teacher checkpoint (mclwp / mclwp-s)")
     p.add_argument("--mask", default="111", help="stage mask, e.g. 110")
+    p.set_defaults(run=_cmd_train_student)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p)
     p.add_argument("--checkpoint", required=True, help="model checkpoint to evaluate")
     p.add_argument("--metric", default="accuracy", choices=["accuracy", "knn"])
     p.add_argument("--k", type=int, help="neighbour count for knn (default 5)")
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("ablate", help="run the 8-mask stage ablation")
     common(p)
     p.add_argument("--teacher", help="reuse a teacher checkpoint instead of training")
+    p.set_defaults(run=_cmd_ablate)
     return parser
 
 
@@ -128,19 +136,13 @@ def _merged_config(args) -> dict:
         if not Path(args.config).is_file():
             raise ConfigError(f"config file {args.config} does not exist")
         values.update(read_config_file(args.config))
-    for key in ("epochs", "width", "distill_weight", "confidence_threshold",
-                "labeled_fraction", "measurement"):
-        flag = getattr(args, key, None)
-        if flag is not None:
+    for key, flag in vars(args).items():
+        if key in _CONFIG_KEYS and flag is not None:
             values[key] = flag
-    if getattr(args, "k", None) is not None:
-        values["k"] = args.k
     return values
 
 
 def _train_config(values, seed):
-    from .optimize import TrainConfig
-
     kw = {k: v for k, v in values.items()
           if k in TrainConfig.__dataclass_fields__}
     kw["seed"] = seed
@@ -158,7 +160,7 @@ def _parse_seeds(text) -> list[int]:
 
 
 def _validate_run(args, values):
-    if getattr(args, "dataset", None) is not None and not Path(args.dataset).is_dir():
+    if not Path(args.dataset).is_dir():
         raise ConfigError(f"dataset directory {args.dataset} does not exist")
     teacher = getattr(args, "teacher", None)
     if teacher is not None and not Path(teacher).is_file():
@@ -167,16 +169,12 @@ def _validate_run(args, values):
     if ckpt is not None and not Path(ckpt).is_file():
         raise ConfigError(f"checkpoint {ckpt} does not exist")
     if args.command == "train-student":
-        from .distill import StageMask
-
         StageMask.parse(args.mask)
         if args.method in ("mclwp", "mclwp-s") and teacher is None:
             raise ConfigError(f"method {args.method} requires --teacher")
     if args.command in ("train-prior", "train-prior-semisup", "train-student", "ablate"):
         if "measurement" not in values:
             raise ConfigError("a measurement (e.g. --measurement 4x4x1) is required")
-    from .models import MeasurementConfig
-
     if "measurement" in values:
         values["measurement"] = MeasurementConfig.parse(str(values["measurement"]))
     lf = values.get("labeled_fraction")
@@ -190,13 +188,11 @@ def _write_manifest(path, command, cfg, extra):
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_bundle(args, values):
-    from .datasets import load_dataset, split_semisup
-
+def _load_bundle(args, values, seed):
     bundle = load_dataset(args.dataset)
     lf = values.get("labeled_fraction")
     if lf is not None:
-        bundle = split_semisup(bundle, lf, values.get("seed", 0))
+        bundle = split_semisup(bundle, lf, seed)
     return bundle
 
 
@@ -204,16 +200,11 @@ def _run_training(args, values, seeds, trainer):
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
-        values["seed"] = seed
-        bundle = _load_bundle(args, values)
+        bundle = _load_bundle(args, values, seed)
         cfg = _train_config(values, seed)
         out = out_root / f"seed_{seed}" if len(seeds) > 1 else out_root
         out.mkdir(parents=True, exist_ok=True)
         model, result, extra = trainer(bundle, cfg, seed)
-        from . import checkpoint
-        from .evaluate import accuracy
-        from .optimize import TrainHistory
-
         test_acc = accuracy(model, bundle.test_x, bundle.test_y)
         checkpoint.save_checkpoint(model, out / "checkpoint.mclk")
         rows = [r for h in result.stages.values() for r in h.rows]
@@ -229,9 +220,6 @@ def _run_training(args, values, seeds, trainer):
 
 
 def _cmd_train_prior(args, values, seeds, semisup):
-    from .distill import train_prior_semisup, train_prior_supervised
-    from .models import build_prior
-
     def trainer(bundle, cfg, seed):
         teacher = build_prior(
             bundle.signal_shape, values["measurement"], bundle.n_classes,
@@ -248,16 +236,6 @@ def _cmd_train_prior(args, values, seeds, semisup):
 
 
 def _cmd_train_student(args, values, seeds):
-    from . import checkpoint
-    from .distill import (
-        StageMask,
-        train_mcl_baseline,
-        train_mclwop,
-        train_mclwp,
-        train_mclwp_semisup,
-    )
-    from .models import build_mcl
-
     mask = StageMask.parse(args.mask)
     method = args.method
 
@@ -284,12 +262,7 @@ def _cmd_train_student(args, values, seeds):
 
 
 def _cmd_eval(args, values, seeds):
-    import time
-
-    from . import checkpoint
-    from .evaluate import _rows_to_csv, accuracy, knn_compressive
-
-    bundle = _load_bundle(args, values)
+    bundle = _load_bundle(args, values, seeds[0])
     model = checkpoint.load_checkpoint(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -312,10 +285,7 @@ def _cmd_eval(args, values, seeds):
 
 
 def _cmd_ablate(args, values, seeds):
-    from . import checkpoint
-    from .evaluate import run_ablation
-
-    bundle = _load_bundle(args, values)
+    bundle = _load_bundle(args, values, seeds[0])
     cfg = _train_config(values, seeds[0])
     teacher = checkpoint.load_checkpoint(args.teacher) if args.teacher else None
     out = Path(args.out)
@@ -332,14 +302,13 @@ def _cmd_ablate(args, values, seeds):
 
 
 def main(argv=None) -> int:
+    # mclkit/__init__.py exports the cap to the BLAS pools at import time;
+    # here a bad value is only reported.
     threads = os.environ.get("MCLKIT_THREADS")
-    if threads is not None:
-        if not threads.isdigit() or int(threads) < 1:
-            print(f"mclkit: MCLKIT_THREADS must be a positive integer, got {threads!r}",
-                  file=sys.stderr)
-            return 2
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+    if threads is not None and (not threads.isdigit() or int(threads) < 1):
+        print(f"mclkit: MCLKIT_THREADS must be a positive integer, got {threads!r}",
+              file=sys.stderr)
+        return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -348,25 +317,9 @@ def main(argv=None) -> int:
     try:
         values = _merged_config(args)
         seeds = _parse_seeds(args.seed)
-        values.setdefault("seed", seeds[0])
         _validate_run(args, values)
-    except (ConfigError, DatasetError) as exc:
-        print(f"mclkit: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "train-prior":
-            return _cmd_train_prior(args, values, seeds, semisup=False)
-        if args.command == "train-prior-semisup":
-            return _cmd_train_prior(args, values, seeds, semisup=True)
-        if args.command == "train-student":
-            return _cmd_train_student(args, values, seeds)
-        if args.command == "eval":
-            return _cmd_eval(args, values, seeds)
-        if args.command == "ablate":
-            return _cmd_ablate(args, values, seeds)
-        raise ConfigError(f"unknown command {args.command}")
+        return args.run(args, values, seeds)
     except (ConfigError, DatasetError, CheckpointError) as exc:
-        # late config-class problems (bad file contents, mismatched shapes)
         print(f"mclkit: {exc}", file=sys.stderr)
         return 2
     except MclError as exc:

@@ -28,7 +28,6 @@ from .optimize import (
     SupervisedObjective,
     TrainConfig,
     TrainHistory,
-    _forward_chunks,
     train,
 )
 
@@ -166,12 +165,7 @@ def self_label_select(teacher, pool_x, confidence_threshold: float):
     """
     if not 0 < confidence_threshold < 1:
         raise ConfigError("confidence threshold must lie in (0, 1)")
-    if len(pool_x) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    logits = _forward_chunks(
-        [teacher.sensing, teacher.synthesis, teacher.head], pool_x
-    )
-    probs = softmax(logits)
+    probs = softmax(teacher.forward_logits(pool_x))
     confident = probs.max(axis=1) >= confidence_threshold
     idx = np.flatnonzero(confident).astype(np.int64)
     labels = probs.argmax(axis=1)[idx].astype(np.int64)
@@ -306,13 +300,6 @@ def stage3_transfer(student: MclModel, teacher, x, y, val_x, val_y,
     return train(objective, x, y, val_x, val_y, cfg)
 
 
-def _teacher_hard_labels(teacher, x):
-    if len(x) == 0:
-        return np.empty(0, dtype=np.int64)
-    logits = _forward_chunks([teacher.sensing, teacher.synthesis, teacher.head], x)
-    return logits.argmax(axis=1).astype(np.int64)
-
-
 def _transfer_pipeline(student, teacher, labeled_x, labeled_y, pool_x, bundle,
                        cfg, mask: StageMask) -> PipelineResult:
     _check_measurement_match(student, teacher)
@@ -327,7 +314,8 @@ def _transfer_pipeline(student, teacher, labeled_x, labeled_y, pool_x, bundle,
         stages["synthesis_transfer"] = stage2_transfer(
             student, teacher, x_all, bundle.val_x, cfg,
         )
-    y_all = np.concatenate([labeled_y, _teacher_hard_labels(teacher, pool_x)])
+    pool_y = teacher.forward_logits(pool_x).argmax(axis=1).astype(np.int64)
+    y_all = np.concatenate([labeled_y, pool_y])
     if mask.distill:
         stages["inference"] = stage3_transfer(
             student, teacher, x_all, y_all, bundle.val_x, bundle.val_y, cfg,

@@ -26,7 +26,7 @@ from .distill import (
 )
 from .errors import ConfigError
 from .models import build_mcl, build_prior
-from .optimize import TrainConfig, _path_accuracy
+from .optimize import TrainConfig
 
 __all__ = [
     "EvalReport",
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 CSV_HEADER = "run_id,mask_s1,mask_s2,mask_s3,config,seed,metric,value"
+
+# Byte budget of one block of float64 query-to-train squared differences in
+# knn_compressive; at paper scale a fixed row count would need gigabytes.
+_KNN_BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ def accuracy(model, test_x, test_y) -> float:
     lowest class index)."""
     if len(test_x) == 0:
         raise ConfigError("empty evaluation set")
-    return _path_accuracy([model.sensing, model.synthesis, model.head], test_x, test_y)
+    return float(np.mean(model.forward_logits(test_x).argmax(axis=1) == test_y))
 
 
 def knn_compressive(model, train_x, train_y, test_x, test_y, k=5) -> float:
@@ -89,9 +93,10 @@ def knn_compressive(model, train_x, train_y, test_x, test_y, k=5) -> float:
     z_train = model.measurements(train_x).reshape(len(train_x), -1).astype(np.float64)
     z_test = model.measurements(test_x).reshape(len(test_x), -1).astype(np.float64)
     n_classes = int(train_y.max()) + 1
+    rows = max(1, _KNN_BLOCK_BYTES // (8 * z_train.size))
     correct = 0
-    for i in range(0, len(z_test), 64):
-        block = z_test[i : i + 64]
+    for i in range(0, len(z_test), rows):
+        block = z_test[i : i + rows]
         d = ((block[:, None, :] - z_train[None, :, :]) ** 2).sum(axis=2)
         nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
         for row, neighbours in enumerate(nearest):

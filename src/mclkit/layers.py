@@ -417,3 +417,17 @@ class LayerStack:
                     f"parameter {p.name}: stored shape {v.shape} != {p.value.shape}"
                 )
             p.value[...] = v
+
+
+def _forward_path(stacks, x, training=False):
+    for s in stacks:
+        x = s.forward(x, training=training)
+    return x
+
+
+def _forward_chunks(stacks, x, chunk=256):
+    """Inference through a stack pipeline in fixed chunks of rows; an empty
+    input makes one zero-row pass, so the result keeps its sample shape."""
+    outs = [_forward_path(stacks, x[i : i + chunk])
+            for i in range(0, len(x), chunk) or [0]]
+    return np.concatenate(outs, axis=0)

@@ -27,6 +27,7 @@ from .layers import (
     ModeProjection,
     ReLU,
     Upsample2,
+    _forward_chunks,
 )
 from .losses import softmax
 
@@ -111,20 +112,20 @@ class _CompressiveModel:
 
     # --- batched entry points -------------------------------------------------
     def measurements(self, x):
-        return self.sensing.forward(x, training=False)
+        return _forward_chunks([self.sensing], x)
 
     def features(self, x):
-        return self.synthesis.forward(self.measurements(x), training=False)
+        return _forward_chunks([self.sensing, self.synthesis], x)
 
     def forward_logits(self, x):
-        return self.head.forward(self.features(x), training=False)
+        return _forward_chunks([self.sensing, self.synthesis, self.head], x)
 
     # --- single-sample entry points --------------------------------------------
     def sense(self, signal):
         return self.measurements(np.asarray(signal)[None])[0]
 
     def synthesize(self, measurement):
-        return self.synthesis.forward(np.asarray(measurement)[None], training=False)[0]
+        return _forward_chunks([self.synthesis], np.asarray(measurement)[None])[0]
 
     def predict(self, signal):
         """Class probabilities for one signal (softmax over the head logits)."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
-from .layers import LayerStack
+from .layers import LayerStack, _forward_chunks, _forward_path
 from .losses import cross_entropy, l1_loss, symmetric_kl
 
 __all__ = [
@@ -216,26 +216,10 @@ class TrainHistory:
             fh.write(self.csv_text())
 
 
-def _forward_path(stacks, x, training=False):
-    for s in stacks:
-        x = s.forward(x, training=training)
-    return x
-
-
 def _backward_path(stacks, grad):
     for s in reversed(stacks):
         grad = s.backward(grad)
     return grad
-
-
-def _forward_chunks(stacks, x, chunk=256):
-    outs = [_forward_path(stacks, x[i : i + chunk]) for i in range(0, len(x), chunk)]
-    return np.concatenate(outs, axis=0)
-
-
-def _path_accuracy(stacks, x, y, chunk=256):
-    logits = _forward_chunks(stacks, x, chunk)
-    return float(np.mean(logits.argmax(axis=1) == y))
 
 
 class Objective:
@@ -281,7 +265,8 @@ class SupervisedObjective(Objective):
         return loss
 
     def val_metric(self, x, y):
-        return _path_accuracy(self.path, x, y)
+        logits = _forward_chunks(self.path, x)
+        return float(np.mean(logits.argmax(axis=1) == y))
 
 
 class OutputMatchingObjective(Objective):

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from mclkit import save_dataset, split_semisup, synth_dataset
+import mclkit
+from mclkit import TrainConfig, save_dataset, split_semisup, synth_dataset
 from mclkit.cli import main, read_config_file
 from mclkit.errors import ConfigError
 
@@ -85,14 +91,35 @@ class TestValidation:
         monkeypatch.setenv("MCLKIT_THREADS", "lots")
         assert main(["train-prior", "--dataset", "x", "--out", "y"]) == 2
 
-    def test_thread_cap_exported(self, monkeypatch):
-        import os
+    def test_thread_cap_exported(self):
+        # The cap only takes effect if it is in the environment before numpy
+        # starts its BLAS pool, that is, when the package is imported.
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env.update(MCLKIT_THREADS="1", PYTHONPATH=str(Path(mclkit.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import mclkit, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.strip() == "1"
 
-        monkeypatch.setenv("MCLKIT_THREADS", "1")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        main(["eval", "--dataset", "missing", "--checkpoint", "missing",
-              "--out", "out"])  # fails validation, but env is set first
-        assert os.environ.get("OMP_NUM_THREADS") == "1"
+    @pytest.mark.parametrize("line", ["epochs=abc", "flip=maybe", "lr_switch_epochs=x"])
+    def test_unparsable_config_value_exits_2(self, dataset_dir, config_file, tmp_path, line):
+        assert _train_student_with_extra_line(dataset_dir, config_file, tmp_path, line) == 2
+
+    @pytest.mark.parametrize("line", ["seed=3", "mask=000", "method=mcl"])
+    def test_flag_only_settings_rejected_in_config_file(self, dataset_dir, config_file,
+                                                        tmp_path, line):
+        assert _train_student_with_extra_line(dataset_dir, config_file, tmp_path, line) == 2
+
+
+def _train_student_with_extra_line(dataset_dir, config_file, tmp_path, line):
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text(config_file.read_text() + line + "\n")
+    return main(["train-student", "--method", "mcl",
+                 "--dataset", str(dataset_dir / "plain"), "--config", str(cfg),
+                 "--measurement", "3x3x1", "--out", str(tmp_path / "out")])
 
 
 class TestTrainCommands:
@@ -151,6 +178,29 @@ class TestTrainCommands:
                      "--teacher", str(prior_out / "checkpoint.mclk"),
                      "--out", str(out)])
         assert code == 0
+
+    def test_config_file_sets_every_train_setting(self, dataset_dir, tmp_path):
+        settings = {
+            "epochs": ("3", 3),
+            "lr_values": ("2e-3, 5e-4", [2e-3, 5e-4]),
+            "lr_switch_epochs": ("2", [2]),
+            "batch_size": ("8", 8),
+            "max_norm": ("4.5", 4.5),
+            "flip": ("yes", True),
+            "shift_fraction": ("0.125", 0.125),
+            "distill_weight": ("0.5", 0.5),
+            "confidence_threshold": ("0.7", 0.7),
+            "epochs_per_round": ("2", 2),
+            "self_label_round_cap": ("3", 3),
+        }
+        assert set(settings) == {f.name for f in fields(TrainConfig)} - {"seed"}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("width=4\n" + "".join(f"{k}={text}\n"
+                                             for k, (text, _) in settings.items()))
+        out = tmp_path / "prior"
+        assert _train_prior(dataset_dir, cfg, out, seed="5") == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {"seed": 5, **{k: v for k, (_, v) in settings.items()}}
 
     def test_multi_seed_writes_subdirectories(self, dataset_dir, config_file, tmp_path):
         out = tmp_path / "multi"

@@ -5,6 +5,7 @@ from mclkit import (
     TrainConfig,
     build_mcl,
     compare_prior_effect,
+    evaluate,
     knn_compressive,
     run_ablation,
     synth_dataset,
@@ -102,6 +103,15 @@ class TestKnn:
         acc = knn_compressive(model, bundle.train_x, bundle.train_y,
                               bundle.test_x, bundle.test_y, k=k)
         assert acc == float(np.mean(oracle == bundle.test_y))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_block_budget_does_not_change_result(self, bundle, model, monkeypatch, k):
+        # Random training labels make neighbour order and vote ties decide.
+        y_train = np.random.default_rng(4).integers(0, 3, size=len(bundle.train_x))
+        args = (model, bundle.train_x, y_train, bundle.test_x, bundle.test_y)
+        expected = knn_compressive(*args, k=k)
+        monkeypatch.setattr(evaluate, "_KNN_BLOCK_BYTES", 1)
+        assert knn_compressive(*args, k=k) == expected
 
     def test_k_too_large_rejected(self, bundle, model):
         with pytest.raises(ConfigError):
