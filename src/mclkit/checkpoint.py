@@ -114,7 +114,11 @@ def loads(data: bytes) -> dict[str, np.ndarray]:
         raise CheckpointVersionError(f"unsupported checkpoint version {version}")
     records: dict[str, np.ndarray] = {}
     while r.remaining:
-        name = r.take(r.u32()).decode("utf-8")
+        raw_name = r.take(r.u32())
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointFormatError(f"record name {raw_name[:32]!r} is not UTF-8") from None
         rank = r.u32()
         if rank > 8:
             raise CheckpointFormatError(f"record {name!r} declares rank {rank}")

@@ -84,11 +84,17 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def data_flags(p):
         p.add_argument("--dataset", required=True, help="dataset directory")
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", default="0", help="seed list, e.g. 0 or 0,1,2")
+        p.add_argument("--seed", default="0",
+                       help="seed list, e.g. 0 or 0,1,2 (eval and ablate take one)")
+        p.add_argument("--labeled-fraction", type=float,
+                       help="stratified labeled share for semi-supervised runs")
+
+    def train_flags(p):
+        data_flags(p)
         p.add_argument("--measurement", help="measurement dims, e.g. 4x4x1")
         p.add_argument("--epochs", type=int, help="epochs per optimization procedure")
         p.add_argument("--width", type=int, help="convolution channel width")
@@ -96,20 +102,18 @@ def _build_parser():
                        help="distillation loss weight")
         p.add_argument("--rho", dest="confidence_threshold", type=float,
                        help="self-labeling confidence threshold")
-        p.add_argument("--labeled-fraction", type=float,
-                       help="stratified labeled share for semi-supervised runs")
 
     p = sub.add_parser("train-prior", help="train the teacher on labeled data")
-    common(p)
+    train_flags(p)
     p.set_defaults(run=partial(_cmd_train_prior, semisup=False))
 
     p = sub.add_parser("train-prior-semisup",
                        help="train the teacher with self-labeling on unlabeled data")
-    common(p)
+    train_flags(p)
     p.set_defaults(run=partial(_cmd_train_prior, semisup=True))
 
     p = sub.add_parser("train-student", help="train a student model")
-    common(p)
+    train_flags(p)
     p.add_argument("--method", required=True,
                    choices=["mcl", "mclwop", "mclwp", "mclwp-s"])
     p.add_argument("--teacher", help="teacher checkpoint (mclwp / mclwp-s)")
@@ -117,14 +121,14 @@ def _build_parser():
     p.set_defaults(run=_cmd_train_student)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p)
+    data_flags(p)
     p.add_argument("--checkpoint", required=True, help="model checkpoint to evaluate")
     p.add_argument("--metric", default="accuracy", choices=["accuracy", "knn"])
     p.add_argument("--k", type=int, help="neighbour count for knn (default 5)")
     p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("ablate", help="run the 8-mask stage ablation")
-    common(p)
+    train_flags(p)
     p.add_argument("--teacher", help="reuse a teacher checkpoint instead of training")
     p.set_defaults(run=_cmd_ablate)
     return parser
@@ -159,7 +163,7 @@ def _parse_seeds(text) -> list[int]:
     return seeds
 
 
-def _validate_run(args, values):
+def _validate_run(args, values, seeds):
     if not Path(args.dataset).is_dir():
         raise ConfigError(f"dataset directory {args.dataset} does not exist")
     teacher = getattr(args, "teacher", None)
@@ -172,9 +176,10 @@ def _validate_run(args, values):
         StageMask.parse(args.mask)
         if args.method in ("mclwp", "mclwp-s") and teacher is None:
             raise ConfigError(f"method {args.method} requires --teacher")
-    if args.command in ("train-prior", "train-prior-semisup", "train-student", "ablate"):
-        if "measurement" not in values:
-            raise ConfigError("a measurement (e.g. --measurement 4x4x1) is required")
+    if args.command in ("eval", "ablate") and len(seeds) > 1:
+        raise ConfigError(f"{args.command} takes one seed, got {args.seed!r}")
+    if args.command != "eval" and "measurement" not in values:
+        raise ConfigError("a measurement (e.g. --measurement 4x4x1) is required")
     if "measurement" in values:
         values["measurement"] = MeasurementConfig.parse(str(values["measurement"]))
     lf = values.get("labeled_fraction")
@@ -317,7 +322,7 @@ def main(argv=None) -> int:
     try:
         values = _merged_config(args)
         seeds = _parse_seeds(args.seed)
-        _validate_run(args, values)
+        _validate_run(args, values, seeds)
         return args.run(args, values, seeds)
     except (ConfigError, DatasetError, CheckpointError) as exc:
         print(f"mclkit: {exc}", file=sys.stderr)

@@ -46,7 +46,7 @@ UNLABELED = 0xFFFFFFFF
 
 @dataclass
 class DatasetBundle:
-    """Train/validation/test splits plus an optional unlabeled pool."""
+    """Train/validation/test splits plus an unlabeled pool (``None``: empty)."""
 
     train_x: np.ndarray
     train_y: np.ndarray
@@ -70,7 +70,9 @@ class DatasetBundle:
                 raise DatasetLabelError(
                     f"{name} labels outside [0, {self.n_classes})"
                 )
-        if self.unlabeled_x is not None and self.unlabeled_x.shape[1:] != shape:
+        if self.unlabeled_x is None:
+            self.unlabeled_x = np.empty((0,) + shape, dtype=self.train_x.dtype)
+        if self.unlabeled_x.shape[1:] != shape:
             raise ConfigError("unlabeled samples do not match the signal shape")
 
     @property
@@ -79,7 +81,7 @@ class DatasetBundle:
 
     @property
     def n_unlabeled(self) -> int:
-        return 0 if self.unlabeled_x is None else len(self.unlabeled_x)
+        return len(self.unlabeled_x)
 
 
 def write_split(path, x, y=None) -> None:
@@ -159,7 +161,7 @@ def save_dataset(bundle: DatasetBundle, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     train_x, train_y = bundle.train_x, bundle.train_y
-    if bundle.unlabeled_x is not None and len(bundle.unlabeled_x):
+    if bundle.n_unlabeled:
         train_x = np.concatenate([train_x, bundle.unlabeled_x])
         train_y = np.concatenate(
             [train_y, np.full(len(bundle.unlabeled_x), -1, dtype=np.int64)]
@@ -191,7 +193,7 @@ def load_dataset(directory) -> DatasetBundle:
     test_x, test_y, test_classes = read_split(test_path)
     n_classes = max(n_classes, test_classes)
     unlabeled = train_y < 0
-    unlabeled_x = train_x[unlabeled] if unlabeled.any() else None
+    unlabeled_x = train_x[unlabeled]
     train_x, train_y = train_x[~unlabeled], train_y[~unlabeled]
     val_path = directory / "val.mcld"
     if val_path.exists():
@@ -253,7 +255,7 @@ def split_semisup(bundle: DatasetBundle, labeled_fraction: float, seed: int) -> 
         bundle,
         train_x=bundle.train_x[keep],
         train_y=bundle.train_y[keep],
-        unlabeled_x=bundle.train_x[~keep].copy(),
+        unlabeled_x=bundle.train_x[~keep],
     )
 
 

@@ -100,25 +100,22 @@ class PipelineResult:
         return {"stages": stages, **self.info}
 
 
-def copy_stack_params(src: LayerStack, dst: LayerStack, strict=False) -> bool:
+def copy_stack_params(src: LayerStack, dst: LayerStack) -> bool:
     """Copy parameters between structurally identical stacks.
 
-    Returns True when the copy happened; on a mismatch raises when ``strict``
-    and otherwise leaves the destination initialisation in place (logged).
+    Returns True when the copy happened; on a mismatch the destination keeps
+    its own initialisation (logged) and False is returned.
     """
     src_params, dst_params = src.params, dst.params
     shapes_match = len(src_params) == len(dst_params) and all(
         a.value.shape == b.value.shape for a, b in zip(src_params, dst_params)
     )
     if not shapes_match:
-        msg = (
-            f"cannot copy {src.name!r} -> {dst.name!r}: parameter shapes differ "
-            f"({[p.value.shape for p in src_params][:4]} vs "
-            f"{[p.value.shape for p in dst_params][:4]})"
+        log.info(
+            "cannot copy %r -> %r: parameter shapes differ (%s vs %s); "
+            "keeping destination initialisation", src.name, dst.name,
+            [p.value.shape for p in src_params][:4], [p.value.shape for p in dst_params][:4],
         )
-        if strict:
-            raise ShapeMismatchError(msg)
-        log.info("%s; keeping destination initialisation", msg)
         return False
     for a, b in zip(src_params, dst_params):
         b.value[...] = a.value.astype(b.value.dtype)
@@ -184,8 +181,7 @@ def train_prior_semisup(prior: PriorModel, bundle: DatasetBundle,
     """
     if len(bundle.train_x) == 0:
         raise ConfigError("semi-supervised training needs a labeled set")
-    pool = bundle.unlabeled_x if bundle.unlabeled_x is not None else \
-        np.empty((0,) + bundle.signal_shape, dtype=bundle.train_x.dtype)
+    pool = bundle.unlabeled_x
     total = len(bundle.train_x) + len(pool)
     stages: dict[str, TrainHistory] = {}
     info: dict = {"kind": "prior_semisup", "rounds": []}
@@ -261,17 +257,15 @@ def stage1_transfer(student: MclModel, teacher, x, val_x, cfg: TrainConfig) -> T
     )
 
 
-def stage2_transfer(student: MclModel, teacher, x, val_x, cfg: TrainConfig,
-                    copy_weights=True, strict_copy=False) -> TrainHistory:
+def stage2_transfer(student: MclModel, teacher, x, val_x, cfg: TrainConfig) -> TrainHistory:
     """Fit sensing + synthesis to the teacher's synthesized features.
 
     When the synthesis stacks are structurally identical the student's is
     first initialised from the teacher's; otherwise the student keeps its own
-    initialisation (or raises, under ``strict_copy``).
+    initialisation.
     """
     _check_measurement_match(student, teacher)
-    if copy_weights:
-        copy_stack_params(teacher.synthesis, student.synthesis, strict=strict_copy)
+    copy_stack_params(teacher.synthesis, student.synthesis)
     return train(
         OutputMatchingObjective(
             [student.sensing, student.synthesis],
@@ -282,7 +276,7 @@ def stage2_transfer(student: MclModel, teacher, x, val_x, cfg: TrainConfig,
 
 
 def stage3_transfer(student: MclModel, teacher, x, y, val_x, val_y,
-                    cfg: TrainConfig, copy_weights=True, strict_copy=False) -> TrainHistory:
+                    cfg: TrainConfig) -> TrainHistory:
     """Discriminative training with a symmetric-KL pull toward the teacher's
     predictions (weighted by ``cfg.distill_weight``; the teacher's raw
     predictions are used directly, no temperature)."""
@@ -290,8 +284,7 @@ def stage3_transfer(student: MclModel, teacher, x, y, val_x, val_y,
         raise ConfigError(
             f"class counts differ: student {student.n_classes}, teacher {teacher.n_classes}"
         )
-    if copy_weights:
-        copy_stack_params(teacher.head, student.head, strict=strict_copy)
+    copy_stack_params(teacher.head, student.head)
     objective = SupervisedObjective(
         [student.sensing, student.synthesis, student.head],
         [teacher.sensing, teacher.synthesis, teacher.head],
@@ -336,10 +329,8 @@ def _transfer_pipeline(student, teacher, labeled_x, labeled_y, pool_x, bundle,
 def train_mclwp(student: MclModel, teacher, bundle: DatasetBundle,
                 cfg: TrainConfig, mask: StageMask = StageMask()) -> PipelineResult:
     """Full supervised knowledge transfer (stages per mask, inference always)."""
-    empty = np.empty((0,) + bundle.signal_shape, dtype=bundle.train_x.dtype)
-    return _transfer_pipeline(
-        student, teacher, bundle.train_x, bundle.train_y, empty, bundle, cfg, mask
-    )
+    return _transfer_pipeline(student, teacher, bundle.train_x, bundle.train_y,
+                              bundle.unlabeled_x[:0], bundle, cfg, mask)
 
 
 def train_mclwp_semisup(student: MclModel, teacher, bundle: DatasetBundle,
@@ -351,11 +342,8 @@ def train_mclwp_semisup(student: MclModel, teacher, bundle: DatasetBundle,
     pool (computed once).  With an empty pool this reduces exactly to
     :func:`train_mclwp`.
     """
-    pool = bundle.unlabeled_x if bundle.unlabeled_x is not None else \
-        np.empty((0,) + bundle.signal_shape, dtype=bundle.train_x.dtype)
-    return _transfer_pipeline(
-        student, teacher, bundle.train_x, bundle.train_y, pool, bundle, cfg, mask
-    )
+    return _transfer_pipeline(student, teacher, bundle.train_x, bundle.train_y,
+                              bundle.unlabeled_x, bundle, cfg, mask)
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .models import build_mcl, build_prior
 from .optimize import TrainConfig
 
 __all__ = [
-    "EvalReport",
     "accuracy",
     "knn_compressive",
     "run_ablation",
@@ -43,22 +42,6 @@ CSV_HEADER = "run_id,mask_s1,mask_s2,mask_s3,config,seed,metric,value"
 # Byte budget of one block of float64 query-to-train squared differences in
 # knn_compressive; at paper scale a fixed row count would need gigabytes.
 _KNN_BLOCK_BYTES = 16 * 2**20
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """One evaluated number with enough context to be replayed."""
-
-    model_id: str
-    config: str
-    metric: str
-    value: float
-    seed: int
-    runtime: float = 0.0
-
-    def __post_init__(self):
-        if "accuracy" in self.metric and not 0 <= self.value <= 1:
-            raise ConfigError(f"accuracy {self.value} outside [0, 1]")
 
 
 def _rows_to_csv(rows) -> str:
@@ -86,8 +69,8 @@ def knn_compressive(model, train_x, train_y, test_x, test_y, k=5) -> float:
     in float64); distance ties break toward the lower training index and vote
     ties toward the lower class index.
     """
-    if k > len(train_x):
-        raise ConfigError(f"k={k} exceeds the {len(train_x)} training samples")
+    if not 1 <= k <= len(train_x):
+        raise ConfigError(f"k={k} outside [1, {len(train_x)}], the training sample count")
     if len(test_x) == 0:
         raise ConfigError("empty evaluation set")
     z_train = model.measurements(train_x).reshape(len(train_x), -1).astype(np.float64)

@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -63,19 +64,28 @@ def test_bad_magic(tmp_path, model):
     path = tmp_path / "m.mclk"
     data = checkpoint.dumps(model)
     body = b"NOPE" + data[4:-4]
-    path.write_bytes(body + struct.pack("<I", __import__("zlib").crc32(body)))
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(CheckpointFormatError):
         checkpoint.load_checkpoint(path)
 
 
 def test_version_mismatch(tmp_path, model):
-    import zlib
-
     data = checkpoint.dumps(model)
     body = data[:4] + struct.pack("<I", 99) + data[8:-4]
     path = tmp_path / "m.mclk"
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(CheckpointVersionError):
+        checkpoint.load_checkpoint(path)
+
+
+def test_non_utf8_record_name(tmp_path):
+    # A well-formed record whose name is not UTF-8, under a matching CRC.
+    record = (struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<II", 1, 1)
+              + struct.pack("<f", 0.0))
+    body = checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + record
+    path = tmp_path / "m.mclk"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(CheckpointFormatError, match="not UTF-8"):
         checkpoint.load_checkpoint(path)
 
 

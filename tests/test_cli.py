@@ -251,3 +251,38 @@ class TestEvalAndAblate:
         assert len(lines) == 9
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(set(manifest["teacher_checksums"])) == 1
+
+    @pytest.mark.parametrize("flag", [("--measurement", "9x9x9"), ("--epochs", "7"),
+                                      ("--width", "99"), ("--lambda", "3"),
+                                      ("--rho", "0.5")],
+                             ids=lambda flag: flag[0])
+    def test_eval_rejects_training_flags(self, dataset_dir, config_file, teacher_ckpt,
+                                         tmp_path, flag):
+        out = tmp_path / "eval"
+        code = main(["eval", "--dataset", str(dataset_dir / "plain"),
+                     "--config", str(config_file), "--checkpoint", str(teacher_ckpt),
+                     *flag, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    def test_single_seed_commands_reject_seed_lists(self, dataset_dir, config_file,
+                                                    teacher_ckpt, tmp_path, command):
+        out = tmp_path / command
+        extra = (["--checkpoint", str(teacher_ckpt)] if command == "eval" else
+                 ["--measurement", "3x3x1", "--teacher", str(teacher_ckpt)])
+        code = main([command, "--dataset", str(dataset_dir / "plain"),
+                     "--config", str(config_file), "--seed", "0,1", *extra,
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1", "-5"])
+    def test_eval_knn_k_below_one_exits_2(self, dataset_dir, config_file, teacher_ckpt,
+                                          tmp_path, k):
+        out = tmp_path / "eval"
+        code = main(["eval", "--dataset", str(dataset_dir / "plain"),
+                     "--config", str(config_file), "--checkpoint", str(teacher_ckpt),
+                     "--metric", "knn", "--k", k, "--out", str(out)])
+        assert code == 2
+        assert not (out / "report.csv").exists()

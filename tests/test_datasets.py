@@ -99,6 +99,18 @@ class TestBundleIO:
             load_dataset(tmp_path)
 
 
+def test_no_pool_is_an_empty_array(tmp_path):
+    bundle = synth_dataset(0, (6, 6, 1), 3, n_per_class=10, noise=0.02)
+    save_dataset(bundle, tmp_path / "d")
+    direct = DatasetBundle(bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y,
+                           bundle.test_x, bundle.test_y, bundle.n_classes)
+    for source in (bundle, load_dataset(tmp_path / "d"), split_semisup(bundle, 1.0, 0),
+                   direct):
+        assert source.unlabeled_x.shape == (0,) + source.signal_shape
+        assert source.unlabeled_x.dtype == source.train_x.dtype
+        assert source.n_unlabeled == 0
+
+
 class TestSplitSemisup:
     def _bundle(self, n_per_class=30, classes=4):
         return synth_dataset(2, (6, 6, 1), classes, n_per_class=n_per_class, noise=0.02)

@@ -135,7 +135,7 @@ class TestStage2:
             student, [f.copy() for f in student.sensing.layers[0].factors], width=8
         )
         history = stage2_transfer(student, teacher, bundle.train_x, bundle.val_x,
-                                  quick_cfg, copy_weights=True)
+                                  quick_cfg)
         assert history.rows[0][2] == 0.0
         assert all(r[2] == 0.0 for r in history.rows)
 
@@ -146,15 +146,13 @@ class TestStage2:
         for a, b in zip(teacher.synthesis.params, student.synthesis.params):
             assert np.array_equal(a.value, b.value)
 
-    def test_mismatched_copy_falls_back_or_raises(self, trained_teacher):
+    def test_mismatched_copy_falls_back(self, trained_teacher):
         teacher, _ = trained_teacher
         student = _student(seed=4, fs="multilinear")  # single projection synthesis
         before = [p.value.copy() for p in student.synthesis.params]
         assert not copy_stack_params(teacher.synthesis, student.synthesis)
         for p, b in zip(student.synthesis.params, before):
             assert np.array_equal(p.value, b)
-        with pytest.raises(ShapeMismatchError):
-            copy_stack_params(teacher.synthesis, student.synthesis, strict=True)
 
     def test_feature_gap_shrinks_and_shape_is_signal(self, bundle, trained_teacher):
         teacher, _ = trained_teacher

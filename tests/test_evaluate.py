@@ -11,7 +11,7 @@ from mclkit import (
     synth_dataset,
 )
 from mclkit.errors import ConfigError
-from mclkit.evaluate import EvalReport, accuracy
+from mclkit.evaluate import accuracy
 from mclkit.optimize import SupervisedObjective, train
 
 SIGNAL = (8, 8, 1)
@@ -61,10 +61,6 @@ class TestAccuracy:
     def test_empty_set_rejected(self, model):
         with pytest.raises(ConfigError):
             accuracy(model, np.zeros((0,) + SIGNAL, dtype=np.float32), np.zeros(0))
-
-    def test_report_validates_range(self):
-        with pytest.raises(ConfigError):
-            EvalReport("m", "3x3x1", "test_accuracy", 1.7, 0)
 
 
 def _brute_force_knn(z_train, train_y, z_test, k, n_classes):
@@ -117,6 +113,12 @@ class TestKnn:
         with pytest.raises(ConfigError):
             knn_compressive(model, bundle.train_x[:3], bundle.train_y[:3],
                             bundle.test_x, bundle.test_y, k=10)
+
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_k_below_one_rejected(self, bundle, model, k):
+        with pytest.raises(ConfigError, match=f"k={k}"):
+            knn_compressive(model, bundle.train_x, bundle.train_y,
+                            bundle.test_x, bundle.test_y, k=k)
 
 
 @pytest.fixture(scope="module")
