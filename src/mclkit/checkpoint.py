@@ -12,6 +12,7 @@ stays uniform.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -123,8 +124,7 @@ def loads(data: bytes) -> dict[str, np.ndarray]:
         if rank > 8:
             raise CheckpointFormatError(f"record {name!r} declares rank {rank}")
         dims = tuple(r.u32() for _ in range(rank))
-        count = int(np.prod(dims)) if dims else 1
-        raw = r.take(4 * count)
+        raw = r.take(4 * math.prod(dims))
         records[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
     return records
 

@@ -269,8 +269,6 @@ def _cmd_train_student(args, values, seeds):
 def _cmd_eval(args, values, seeds):
     bundle = _load_bundle(args, values, seeds[0])
     model = checkpoint.load_checkpoint(args.checkpoint)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     if args.metric == "accuracy":
         value = accuracy(model, bundle.test_x, bundle.test_y)
@@ -284,6 +282,8 @@ def _cmd_eval(args, values, seeds):
     row = {"run_id": "eval", "mask_s1": "", "mask_s2": "", "mask_s3": "",
            "config": str(model.measurement), "seed": seeds[0], "metric": metric,
            "value": value}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(_rows_to_csv([row]))
     print(f"{metric}: {value:.4f} ({runtime:.1f}s)")
     return 0

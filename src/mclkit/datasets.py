@@ -4,7 +4,7 @@ synthetic low-rank generator for fast end-to-end runs.
 One ``.mcld`` file holds one split.  Layout (little-endian u32 integers):
 
     magic b"MCLD" | version | count | rank | dims[rank] | n_classes |
-    per sample: float32 payload (prod(dims) values) + u32 label
+    count records of (float32 payload of prod(dims) values, u32 label)
 
 The label sentinel ``0xFFFFFFFF`` marks an unlabeled sample.  A dataset
 directory holds ``train.mcld`` and ``test.mcld`` plus an optional
@@ -14,6 +14,7 @@ sentinel.  Pixel payloads are stored already scaled to [0, 1].
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -84,94 +85,84 @@ class DatasetBundle:
         return len(self.unlabeled_x)
 
 
-def write_split(path, x, y=None) -> None:
-    """Write one sample collection; ``y=None`` or a -1 entry marks unlabeled."""
-    x = np.ascontiguousarray(np.asarray(x), dtype="<f4")
-    n = len(x)
-    if y is None:
-        labels = np.full(n, UNLABELED, dtype=np.uint64)
-        n_classes = 0
-    else:
-        y = np.asarray(y)
-        labels = np.where(y < 0, UNLABELED, y).astype(np.uint64)
-        real = y[y >= 0]
-        n_classes = int(real.max()) + 1 if real.size else 0
-    return _write_split(path, x, labels, n_classes)
+def _record_dtype(path, dims) -> np.dtype:
+    try:
+        return np.dtype([("x", "<f4", dims), ("y", "<u4")])
+    except ValueError:
+        raise DatasetFormatError(f"{path}: samples of shape {dims} are too large") from None
 
 
-def _write_split(path, x, labels, n_classes) -> None:
-    dims = x.shape[1:]
+def _write_split(path, n_classes, *parts) -> None:
+    """Write the header, then each ``(x, y)`` part as records, 16 MiB at a
+    time; label -1 becomes the sentinel."""
+    dims = np.shape(parts[0][0])[1:]
+    dtype = _record_dtype(path, dims)
+    rows = max(1, 2**24 // dtype.itemsize)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<III", VERSION, len(x), len(dims)))
-        fh.write(struct.pack(f"<{len(dims)}I", *dims))
-        fh.write(struct.pack("<I", n_classes))
-        for sample, label in zip(x, labels):
-            fh.write(sample.tobytes())
-            fh.write(struct.pack("<I", int(label)))
+        fh.write(struct.pack(f"<{4 + len(dims)}I", VERSION, sum(len(x) for x, _ in parts),
+                             len(dims), *dims, n_classes))
+        for x, y in parts:
+            x, y = np.asarray(x), np.asarray(y)
+            for i in range(0, len(x), rows):
+                xs, ys = x[i : i + rows], y[i : i + rows]
+                records = np.empty(len(xs), dtype)
+                records["x"] = xs
+                records["y"] = np.where(ys < 0, UNLABELED, ys)
+                records.tofile(fh)
+
+
+def write_split(path, x, y=None) -> None:
+    """Write one sample collection; ``y=None`` or a -1 entry marks unlabeled."""
+    y = np.full(len(x), -1) if y is None else np.asarray(y)
+    real = y[y >= 0]
+    _write_split(path, int(real.max()) + 1 if real.size else 0, (x, y))
+
+
+def _need(path, data, end) -> None:
+    if len(data) < end:
+        raise DatasetTruncatedError(f"{path}: file ends at byte {len(data)}, needed {end}")
 
 
 def read_split(path):
-    """Read one split: ``(x, y, n_classes)``; unlabeled rows get label -1."""
+    """Read one split: ``(x, y, n_classes)``; unlabeled rows get label -1.
+    The header is checked against the file length before any allocation."""
     data = Path(path).read_bytes()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(data):
-            raise DatasetTruncatedError(
-                f"{path}: file ends at byte {len(data)}, needed {pos + n}"
-            )
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    if take(4) != MAGIC:
+    _need(path, data, 4)
+    if data[:4] != MAGIC:
         raise DatasetFormatError(f"{path}: bad magic bytes; not a dataset file")
-    version, count, rank = struct.unpack("<III", take(12))
+    _need(path, data, 16)
+    version, count, rank = struct.unpack_from("<III", data, 4)
     if version != VERSION:
         raise DatasetFormatError(f"{path}: unsupported dataset version {version}")
     if rank > 8:
         raise DatasetFormatError(f"{path}: implausible sample rank {rank}")
-    dims = struct.unpack(f"<{rank}I", take(4 * rank))
-    (n_classes,) = struct.unpack("<I", take(4))
-    size = int(np.prod(dims))
-    x = np.empty((count,) + dims, dtype=np.float32)
-    y = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        x[i] = np.frombuffer(take(4 * size), dtype="<f4").reshape(dims)
-        (label,) = struct.unpack("<I", take(4))
-        if label == UNLABELED:
-            y[i] = -1
-        elif label >= n_classes:
-            raise DatasetLabelError(
-                f"{path}: sample {i} has label {label} but only "
-                f"{n_classes} classes are declared"
-            )
-        else:
-            y[i] = label
-    if pos != len(data):
-        raise DatasetFormatError(f"{path}: {len(data) - pos} trailing bytes")
+    header = 20 + 4 * rank
+    _need(path, data, header)
+    *dims, n_classes = struct.unpack_from(f"<{rank + 1}I", data, 16)
+    end = header + count * 4 * (math.prod(dims) + 1)
+    _need(path, data, end)
+    if len(data) > end:
+        raise DatasetFormatError(f"{path}: {len(data) - end} trailing bytes")
+    records = np.frombuffer(data, _record_dtype(path, tuple(dims)), count, header)
+    labels = records["y"]
+    bad = np.flatnonzero((labels != UNLABELED) & (labels >= n_classes))
+    if bad.size:
+        raise DatasetLabelError(f"{path}: sample {bad[0]} has label {labels[bad[0]]} "
+                                f"but only {n_classes} classes are declared")
+    x = records["x"].astype(np.float32)
     if not np.isfinite(x).all():
         raise DatasetFormatError(f"{path}: payload contains non-finite values")
+    y = np.where(labels == UNLABELED, -1, labels.astype(np.int64))
     return x, y, n_classes
 
 
 def save_dataset(bundle: DatasetBundle, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    train_x, train_y = bundle.train_x, bundle.train_y
-    if bundle.n_unlabeled:
-        train_x = np.concatenate([train_x, bundle.unlabeled_x])
-        train_y = np.concatenate(
-            [train_y, np.full(len(bundle.unlabeled_x), -1, dtype=np.int64)]
-        )
-    _write_split(
-        directory / "train.mcld",
-        np.ascontiguousarray(train_x, dtype="<f4"),
-        np.where(train_y < 0, UNLABELED, train_y).astype(np.uint64),
-        bundle.n_classes,
-    )
+    _write_split(directory / "train.mcld", bundle.n_classes,
+                 (bundle.train_x, bundle.train_y),
+                 (bundle.unlabeled_x, np.full(bundle.n_unlabeled, -1)))
     write_split(directory / "val.mcld", bundle.val_x, bundle.val_y)
     write_split(directory / "test.mcld", bundle.test_x, bundle.test_y)
 
@@ -261,10 +252,10 @@ def split_semisup(bundle: DatasetBundle, labeled_fraction: float, seed: int) -> 
 
 def nearest_template_accuracy(x, y, templates) -> float:
     """Fraction of samples closest (Euclidean) to their own class template."""
-    flat = x.reshape(len(x), -1).astype(np.float64)
-    t = templates.reshape(len(templates), -1).astype(np.float64)
-    d = ((flat[:, None, :] - t[None, :, :]) ** 2).sum(axis=2)
-    return float(np.mean(d.argmin(axis=1) == y))
+    nearest = np.empty(len(x), dtype=np.intp)
+    for start, d in tensor._sq_dist_blocks(x, templates):
+        nearest[start : start + len(d)] = d.argmin(axis=1)
+    return float(np.mean(nearest == y))
 
 
 def _low_rank_template(rng, shape):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import checkpoint
+from . import checkpoint, tensor
 from .datasets import DatasetBundle
 from .distill import (
     StageMask,
@@ -38,10 +38,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "run_id,mask_s1,mask_s2,mask_s3,config,seed,metric,value"
-
-# Byte budget of one block of float64 query-to-train squared differences in
-# knn_compressive; at paper scale a fixed row count would need gigabytes.
-_KNN_BLOCK_BYTES = 16 * 2**20
 
 
 def _rows_to_csv(rows) -> str:
@@ -73,20 +69,16 @@ def knn_compressive(model, train_x, train_y, test_x, test_y, k=5) -> float:
         raise ConfigError(f"k={k} outside [1, {len(train_x)}], the training sample count")
     if len(test_x) == 0:
         raise ConfigError("empty evaluation set")
-    z_train = model.measurements(train_x).reshape(len(train_x), -1).astype(np.float64)
-    z_test = model.measurements(test_x).reshape(len(test_x), -1).astype(np.float64)
+    z_train = model.measurements(train_x)
     n_classes = int(train_y.max()) + 1
-    rows = max(1, _KNN_BLOCK_BYTES // (8 * z_train.size))
     correct = 0
-    for i in range(0, len(z_test), rows):
-        block = z_test[i : i + rows]
-        d = ((block[:, None, :] - z_train[None, :, :]) ** 2).sum(axis=2)
+    for start, d in tensor._sq_dist_blocks(model.measurements(test_x), z_train):
         nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
         for row, neighbours in enumerate(nearest):
             votes = np.bincount(train_y[neighbours], minlength=n_classes)
-            if votes.argmax() == test_y[i + row]:
+            if votes.argmax() == test_y[start + row]:
                 correct += 1
-    return correct / len(z_test)
+    return correct / len(test_x)
 
 
 @dataclass

@@ -116,17 +116,15 @@ class Dense(Layer):
 
 
 class Conv2d(Layer):
-    """2-D convolution, odd kernel, stride 1, zero 'same' padding."""
+    """3×3 convolution, stride 1, zero 'same' padding."""
 
     kind = "conv2d"
+    kernel_size = 3
 
-    def __init__(self, in_channels, out_channels, kernel_size=3, rng=None, dtype=np.float32):
+    def __init__(self, in_channels, out_channels, rng=None, dtype=np.float32):
         super().__init__()
-        if kernel_size % 2 != 1:
-            raise ValueError("conv2d supports odd kernel sizes only")
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
-        self.kernel_size = int(kernel_size)
         k = self.kernel_size
         fan_in = k * k * in_channels
         fan_out = k * k * out_channels

@@ -186,57 +186,57 @@ def _pool_stage_count(signal_shape, m_dims) -> int:
     return p
 
 
-def _conv_block(in_ch, out_ch, per_block, rng, dtype):
-    layers = [Conv2d(in_ch, out_ch, rng=rng, dtype=dtype), ReLU()]
+def _conv_block(in_ch, out_ch, per_block, rng):
+    layers = [Conv2d(in_ch, out_ch, rng=rng), ReLU()]
     for _ in range(per_block - 1):
-        layers += [Conv2d(out_ch, out_ch, rng=rng, dtype=dtype), ReLU()]
+        layers += [Conv2d(out_ch, out_ch, rng=rng), ReLU()]
     return layers
 
 
-def _head_layers(in_shape, width, n_classes, rng, dtype):
+def _head_layers(in_shape, width, n_classes, rng):
     # Two pooled conv stages (where the grid allows) grow the receptive field
     # enough for the global average to separate spatial patterns.
     h, w, c = in_shape
-    layers = [Conv2d(c, width, rng=rng, dtype=dtype), ReLU()]
+    layers = [Conv2d(c, width, rng=rng), ReLU()]
     for _ in range(2):
         if h >= 4 and w >= 4:
             layers.append(MaxPool2())
             h, w = h // 2, w // 2
-        layers += [Conv2d(width, width, rng=rng, dtype=dtype), ReLU()]
-    layers += [GlobalAvgPool(), Dense(width, n_classes, rng=rng, dtype=dtype)]
+        layers += [Conv2d(width, width, rng=rng), ReLU()]
+    layers += [GlobalAvgPool(), Dense(width, n_classes, rng=rng)]
     return layers
 
 
-def _encoder_layers(signal_shape, m_dims, width, per_block, rng, dtype):
+def _encoder_layers(signal_shape, m_dims, width, per_block, rng):
     h, w, c = signal_shape
     p = _pool_stage_count(signal_shape, m_dims)
     layers = []
     ch = c
     for _ in range(p):
-        layers += _conv_block(ch, width, per_block, rng, dtype)
+        layers += _conv_block(ch, width, per_block, rng)
         layers.append(MaxPool2())
         ch = width
-    layers += _conv_block(ch, width, per_block, rng, dtype)
+    layers += _conv_block(ch, width, per_block, rng)
     pooled = (h >> p, w >> p, width)
-    layers.append(ModeProjection(pooled, m_dims, rng=rng, dtype=dtype))
+    layers.append(ModeProjection(pooled, m_dims, rng=rng))
     return layers, p
 
 
-def _decoder_layers(signal_shape, m_dims, width, per_block, rng, dtype):
+def _decoder_layers(signal_shape, m_dims, width, per_block, rng):
     h, w, c = signal_shape
     p = _pool_stage_count(signal_shape, m_dims)
     pooled = (h >> p, w >> p, width)
-    layers = [ModeProjection(m_dims, pooled, rng=rng, dtype=dtype)]
+    layers = [ModeProjection(m_dims, pooled, rng=rng)]
     for _ in range(p):
-        layers += _conv_block(width, width, per_block, rng, dtype)
+        layers += _conv_block(width, width, per_block, rng)
         layers.append(Upsample2())
-    layers += _conv_block(width, width, per_block, rng, dtype)
-    layers.append(Conv2d(width, c, rng=rng, dtype=dtype))  # linear output
+    layers += _conv_block(width, width, per_block, rng)
+    layers.append(Conv2d(width, c, rng=rng))  # linear output
     return layers
 
 
 def build_mcl(signal_shape, measurement, n_classes, fs_kind="multilinear",
-              width=16, capacity="small", seed=0, dtype=np.float32) -> MclModel:
+              width=16, capacity="small", seed=0) -> MclModel:
     """Assemble the multilinear-sensing student.
 
     ``fs_kind='multilinear'`` gives a single separable back-projection as the
@@ -252,18 +252,18 @@ def build_mcl(signal_shape, measurement, n_classes, fs_kind="multilinear",
     rng = np.random.default_rng(seed)
     m_dims = measurement.dims
     sensing = LayerStack(
-        [ModeProjection(signal_shape, m_dims, rng=rng, dtype=dtype)],
+        [ModeProjection(signal_shape, m_dims, rng=rng)],
         signal_shape,
         name="sensing",
     )
     if fs_kind == "multilinear":
-        synth_layers = [ModeProjection(m_dims, signal_shape, rng=rng, dtype=dtype)]
+        synth_layers = [ModeProjection(m_dims, signal_shape, rng=rng)]
     else:
         per_block = _convs_per_block(capacity)
-        synth_layers = _decoder_layers(signal_shape, m_dims, width, per_block, rng, dtype)
+        synth_layers = _decoder_layers(signal_shape, m_dims, width, per_block, rng)
     synthesis = LayerStack(synth_layers, m_dims, name="synthesis")
     head = LayerStack(
-        _head_layers(signal_shape, width, n_classes, rng, dtype),
+        _head_layers(signal_shape, width, n_classes, rng),
         signal_shape,
         name="head",
     )
@@ -272,7 +272,7 @@ def build_mcl(signal_shape, measurement, n_classes, fs_kind="multilinear",
 
 
 def build_prior(signal_shape, measurement, n_classes, width=16, capacity="small",
-                seed=0, dtype=np.float32) -> PriorModel:
+                seed=0) -> PriorModel:
     """Assemble the nonlinear teacher.
 
     The encoder stacks 2x2 max-pool stages until the grid reaches the spatial
@@ -287,15 +287,15 @@ def build_prior(signal_shape, measurement, n_classes, width=16, capacity="small"
     rng = np.random.default_rng(seed)
     per_block = _convs_per_block(capacity)
     m_dims = measurement.dims
-    enc_layers, p = _encoder_layers(signal_shape, m_dims, width, per_block, rng, dtype)
+    enc_layers, p = _encoder_layers(signal_shape, m_dims, width, per_block, rng)
     sensing = LayerStack(enc_layers, signal_shape, name="sensing")
     synthesis = LayerStack(
-        _decoder_layers(signal_shape, m_dims, width, per_block, rng, dtype),
+        _decoder_layers(signal_shape, m_dims, width, per_block, rng),
         m_dims,
         name="synthesis",
     )
     head = LayerStack(
-        _head_layers(signal_shape, width, n_classes, rng, dtype),
+        _head_layers(signal_shape, width, n_classes, rng),
         signal_shape,
         name="head",
     )

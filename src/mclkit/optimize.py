@@ -33,6 +33,8 @@ __all__ = [
     "train",
 ]
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam decays and denominator guard
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -110,26 +112,23 @@ class TrainConfig:
 class AdamState:
     """Bias-corrected Adam moments for a fixed parameter list."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
         self.t = 0
 
     def step(self, lr: float) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - _BETA1**self.t
+        c2 = 1.0 - _BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.value -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            p.value -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
 
 
 def max_norm_project(params, c: float) -> None:
@@ -192,7 +191,6 @@ class TrainHistory:
     rows: list = field(default_factory=list)  # (epoch, lr, train_loss, val_metric)
     best_epoch: int = -1
     best_value: float = math.nan
-    higher_is_better: bool = True
     n_train: int = 0
     seconds: float = 0.0  # wall time of the epoch loop, set by train()
 
@@ -313,7 +311,7 @@ def train(objective: Objective, train_x, train_y, val_x, val_y, cfg: TrainConfig
     params = [p for s in objective.trainable for p in s.params]
     adam = AdamState(params)
     hib = objective.higher_is_better
-    history = TrainHistory(higher_is_better=hib, n_train=n)
+    history = TrainHistory(n_train=n)
     best_snapshot = None
     started = time.perf_counter()
     for epoch in range(cfg.epochs):

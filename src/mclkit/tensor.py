@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _SIGN_TOL = 1e-12
+_DIST_BLOCK_BYTES = 16 * 2**20  # float64 differences per _sq_dist_blocks block
 
 
 def _as_tensor(t, name="tensor"):
@@ -67,6 +68,18 @@ def _batched_mode_product(x, ws) -> np.ndarray:
         flat = np.ascontiguousarray(moved).reshape(len(out), rows, w.shape[1])
         out = np.moveaxis((flat @ w.T).reshape(moved.shape[:-1] + (w.shape[0],)), -1, k + 1)
     return out
+
+
+def _sq_dist_blocks(a, b):
+    """Yield ``(start, d)`` with ``d[i, j]`` the float64 squared distance from
+    ``a[start + i]`` to ``b[j]`` (samples flattened), in row blocks whose
+    differences fit ``_DIST_BLOCK_BYTES``; results do not depend on the budget."""
+    b = b.reshape(len(b), -1).astype(np.float64)
+    a = a.reshape(len(a), -1)
+    rows = max(1, _DIST_BLOCK_BYTES // (8 * b.size))
+    for start in range(0, len(a), rows):
+        block = a[start : start + rows].astype(np.float64)
+        yield start, ((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
 def _as_factor(w, t, k):
@@ -168,6 +181,13 @@ def _fix_signs(u, v=None):
     return u if v is None else (u, v)
 
 
+def _thin_svd(m):
+    try:
+        return np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+
+
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin singular value decomposition ``m == U @ diag(s) @ V.T``.
 
@@ -175,11 +195,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     orthonormal columns and carry the package-wide sign convention so repeated
     calls are bit-reproducible.
     """
-    m = _as_matrix(m)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    u, s, vh = _thin_svd(_as_matrix(m))
     u, v = _fix_signs(u, vh.T)
     return u, s, v
 
@@ -212,6 +228,6 @@ def hosvd_factors(samples, target_dims: Sequence[int]) -> list[np.ndarray]:
             )
         # axis 0 of `stack` is the sample axis; sample mode k is axis k+1.
         unfolded = np.moveaxis(stack, k + 1, 0).reshape(dim, -1)
-        u, _, _ = np.linalg.svd(unfolded, full_matrices=False)
+        u, _, _ = _thin_svd(unfolded)
         factors.append(_fix_signs(u)[:, :want].T.copy())
     return factors

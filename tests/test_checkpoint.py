@@ -89,6 +89,16 @@ def test_non_utf8_record_name(tmp_path):
         checkpoint.load_checkpoint(path)
 
 
+def test_overflowing_dims_are_truncation(tmp_path):
+    # dims whose element count wraps a 64-bit product, under a matching CRC.
+    record = struct.pack("<I", 1) + b"w" + struct.pack("<III", 2, 0xFFFFFFFF, 0xFFFFFFFF)
+    body = checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + record
+    path = tmp_path / "m.mclk"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(CheckpointTruncatedError):
+        checkpoint.load_checkpoint(path)
+
+
 def test_truncated_file(tmp_path, model):
     path = tmp_path / "m.mclk"
     checkpoint.save_checkpoint(model, path)

@@ -286,3 +286,13 @@ class TestEvalAndAblate:
                      "--metric", "knn", "--k", k, "--out", str(out)])
         assert code == 2
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("k", ["0", "999"])
+    def test_eval_failure_leaves_no_out_directory(self, dataset_dir, config_file,
+                                                   teacher_ckpt, tmp_path, k):
+        out = tmp_path / "eval"
+        code = main(["eval", "--dataset", str(dataset_dir / "plain"),
+                     "--config", str(config_file), "--checkpoint", str(teacher_ckpt),
+                     "--metric", "knn", "--k", k, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()

@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from mclkit import tensor
 from mclkit.datasets import (
     DatasetBundle,
     load_dataset,
@@ -71,6 +74,115 @@ class TestSplitFiles:
         write_split(path, x, np.array([0, -1, 1]))
         _, ry, _ = read_split(path)
         assert list(ry) == [0, -1, 1]
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "t.mcld"
+        write_split(path, np.zeros((3, 2, 2, 1), dtype=np.float32), np.zeros(3, dtype=int))
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(DatasetFormatError, match="3 trailing bytes"):
+            read_split(path)
+
+    def test_label_error_names_first_bad_sample(self, tmp_path):
+        path = tmp_path / "bad.mcld"
+        write_split(path, np.zeros((4, 2, 1, 1), dtype=np.float32), np.array([0, 1, 0, 1]))
+        raw = bytearray(path.read_bytes())
+        for sample, label in ((1, 7), (3, 9)):
+            end = 32 + 12 * (sample + 1)  # 32-byte header, 8-byte payload + label
+            raw[end - 4 : end] = label.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetLabelError, match="sample 1 has label 7"):
+            read_split(path)
+
+    @pytest.mark.parametrize("header", [
+        struct.pack("<IIIIIII", 1, 0xFFFFFFFF, 3, 32, 32, 3, 10),
+        struct.pack("<IIIIIII", 1, 0xFFFFFFFF, 3, 65535, 65535, 65535, 10),
+        struct.pack("<IIII", 1, 2, 3, 32) + b"\x20\x00",  # cut inside dims
+    ], ids=["count-32x32x3", "count-65535^3", "cut-in-dims"])
+    def test_corrupt_header_is_truncation(self, tmp_path, header):
+        # Checked against the file length before anything is allocated.
+        path = tmp_path / "c.mcld"
+        path.write_bytes(b"MCLD" + header)
+        with pytest.raises(DatasetTruncatedError):
+            read_split(path)
+
+    def test_empty_split_of_oversized_samples(self, tmp_path):
+        path = tmp_path / "c.mcld"
+        path.write_bytes(b"MCLD" + struct.pack("<IIIIIII", 1, 0, 3, 65535, 65535, 65535, 10))
+        with pytest.raises(DatasetFormatError, match="too large"):
+            read_split(path)
+
+
+def _per_sample_write(path, x, y, n_classes):
+    """The per-sample ``.mcld`` writer that the record codec replaced."""
+    x = np.ascontiguousarray(np.asarray(x), dtype="<f4")
+    labels = np.where(np.asarray(y) < 0, 0xFFFFFFFF, y).astype(np.uint64)
+    dims = x.shape[1:]
+    with open(path, "wb") as fh:
+        fh.write(b"MCLD")
+        fh.write(struct.pack("<III", 1, len(x), len(dims)))
+        fh.write(struct.pack(f"<{len(dims)}I", *dims))
+        fh.write(struct.pack("<I", n_classes))
+        for sample, label in zip(x, labels):
+            fh.write(sample.tobytes())
+            fh.write(struct.pack("<I", int(label)))
+
+
+def _per_sample_write_split(path, x, y=None):
+    if y is None:
+        y = np.full(len(x), -1)
+    real = np.asarray(y)[np.asarray(y) >= 0]
+    _per_sample_write(path, x, y, int(real.max()) + 1 if real.size else 0)
+
+
+def _format_cases():
+    rng = np.random.default_rng(30)
+    x = rng.random((6, 3, 4, 2)).astype(np.float32)
+    return {
+        "labeled": (x, rng.integers(0, 4, size=6)),
+        "all-unlabeled": (x, None),
+        "mixed": (x, np.array([2, -1, 0, -1, 3, 1])),
+        "zero-sample": (x[:0], np.zeros(0, dtype=np.int64)),
+        "float64": (rng.random((5, 3, 4, 2)), np.array([0, 1, -1, 1, 0])),
+        "rank-1": (rng.random((4, 7)).astype(np.float32), np.array([1, 0, -1, 2])),
+        "rank-4": (rng.random((3, 2, 3, 2, 2)).astype(np.float32), np.array([0, -1, 1])),
+    }
+
+
+class TestFormatPinned:
+    @pytest.mark.parametrize("case", list(_format_cases()))
+    def test_write_split_bytes(self, tmp_path, case):
+        x, y = _format_cases()[case]
+        write_split(tmp_path / "new.mcld", x, y)
+        _per_sample_write_split(tmp_path / "old.mcld", x, y)
+        assert (tmp_path / "new.mcld").read_bytes() == (tmp_path / "old.mcld").read_bytes()
+
+    @pytest.mark.parametrize("case", list(_format_cases()))
+    def test_save_dataset_bytes(self, tmp_path, case):
+        x, y = _format_cases()[case]
+        y = np.full(len(x), -1) if y is None else y
+        labeled = y >= 0
+        eval_y = np.arange(len(x)) % 4
+        bundle = DatasetBundle(x[labeled], y[labeled], x, eval_y, x, eval_y,
+                               n_classes=5, unlabeled_x=x[~labeled])
+        save_dataset(bundle, tmp_path / "new")
+        old = tmp_path / "old"
+        old.mkdir()
+        _per_sample_write(old / "train.mcld",
+                          np.concatenate([x[labeled], x[~labeled]]),
+                          np.concatenate([y[labeled], y[~labeled]]), 5)
+        _per_sample_write_split(old / "val.mcld", x, eval_y)
+        _per_sample_write_split(old / "test.mcld", x, eval_y)
+        for name in ("train.mcld", "val.mcld", "test.mcld"):
+            assert (tmp_path / "new" / name).read_bytes() == (old / name).read_bytes()
+
+    @pytest.mark.parametrize("case", list(_format_cases()))
+    def test_read_back(self, tmp_path, case):
+        x, y = _format_cases()[case]
+        write_split(tmp_path / "s.mcld", x, y)
+        rx, ry, _ = read_split(tmp_path / "s.mcld")
+        assert rx.dtype == np.float32 and ry.dtype == np.int64
+        assert np.array_equal(rx, np.asarray(x, dtype=np.float32))
+        assert np.array_equal(ry, np.full(len(x), -1) if y is None else y)
 
 
 class TestBundleIO:
@@ -190,6 +302,16 @@ class TestSynthDataset:
         shuffled = b.train_y[rng.permutation(len(b.train_y))]
         acc = nearest_template_accuracy(b.train_x, shuffled, b.templates)
         assert abs(acc - 0.25) < 0.1
+
+    def test_template_oracle_block_budget_does_not_change_result(self, monkeypatch):
+        b = synth_dataset(5, (8, 8, 1), 4, n_per_class=50, noise=0.3)
+        flat = b.train_x.reshape(len(b.train_x), -1).astype(np.float64)
+        t = b.templates.reshape(4, -1).astype(np.float64)
+        whole = ((flat[:, None, :] - t[None, :, :]) ** 2).sum(axis=2)
+        expected = float(np.mean(whole.argmin(axis=1) == b.train_y))
+        assert nearest_template_accuracy(b.train_x, b.train_y, b.templates) == expected
+        monkeypatch.setattr(tensor, "_DIST_BLOCK_BYTES", 1)
+        assert nearest_template_accuracy(b.train_x, b.train_y, b.templates) == expected
 
     def test_values_in_unit_range(self):
         b = synth_dataset(6, (8, 8, 1), 3, n_per_class=10, noise=0.3)

@@ -5,10 +5,10 @@ from mclkit import (
     TrainConfig,
     build_mcl,
     compare_prior_effect,
-    evaluate,
     knn_compressive,
     run_ablation,
     synth_dataset,
+    tensor,
 )
 from mclkit.errors import ConfigError
 from mclkit.evaluate import accuracy
@@ -106,7 +106,7 @@ class TestKnn:
         y_train = np.random.default_rng(4).integers(0, 3, size=len(bundle.train_x))
         args = (model, bundle.train_x, y_train, bundle.test_x, bundle.test_y)
         expected = knn_compressive(*args, k=k)
-        monkeypatch.setattr(evaluate, "_KNN_BLOCK_BYTES", 1)
+        monkeypatch.setattr(tensor, "_DIST_BLOCK_BYTES", 1)
         assert knn_compressive(*args, k=k) == expected
 
     def test_k_too_large_rejected(self, bundle, model):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mclkit import tensor
-from mclkit.errors import ShapeMismatchError
+from mclkit.errors import ConvergenceError, ShapeMismatchError
 
 
 def rand(rng, *shape):
@@ -253,3 +253,27 @@ class TestHosvdFactors:
             tensor.hosvd_factors(np.zeros((0, 2, 2)), (1, 1))
         with pytest.raises(ShapeMismatchError, match="mode 0"):
             tensor.hosvd_factors(np.zeros((3, 2, 2)), (5, 1))
+
+
+def test_hosvd_svd_failure_is_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    samples = rand(np.random.default_rng(19), 3, 4, 3, 2)
+    with pytest.raises(ConvergenceError):
+        tensor.hosvd_factors(samples, (2, 2, 1))
+
+
+@pytest.mark.parametrize("budget", [1, 8 * 7 * 12 * 3, 2**30])
+def test_distance_blocks_match_whole_array_bitwise(monkeypatch, budget):
+    rng = np.random.default_rng(20)
+    a = rng.random((23, 4, 3)).astype(np.float32)
+    b = rng.random((7, 4, 3)).astype(np.float32)
+    fa, fb = a.reshape(23, -1).astype(np.float64), b.reshape(7, -1).astype(np.float64)
+    whole = ((fa[:, None, :] - fb[None, :, :]) ** 2).sum(axis=2)
+    monkeypatch.setattr(tensor, "_DIST_BLOCK_BYTES", budget)
+    blocks = list(tensor._sq_dist_blocks(a, b))
+    assert [start for start, _ in blocks] == list(range(0, 23, len(blocks[0][1])))
+    assert all(d.dtype == np.float64 for _, d in blocks)
+    assert np.concatenate([d for _, d in blocks]).tobytes() == whole.tobytes()
