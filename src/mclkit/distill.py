@@ -297,7 +297,12 @@ def _transfer_pipeline(student, teacher, labeled_x, labeled_y, pool_x, bundle,
                        cfg, mask: StageMask) -> PipelineResult:
     _check_measurement_match(student, teacher)
     teacher_before = [p.value.copy() for p in teacher.all_params()]
-    x_all = np.concatenate([labeled_x, pool_x])
+    x_all, y_all = labeled_x, labeled_y
+    if len(pool_x):
+        # The frozen teacher's hard predictions label the pool, once.
+        pool_y = teacher.forward_logits(pool_x).argmax(axis=1).astype(np.int64)
+        x_all = np.concatenate([labeled_x, pool_x])
+        y_all = np.concatenate([labeled_y, pool_y])
     stages: dict[str, TrainHistory] = {}
     info: dict = {"kind": "knowledge_transfer", "mask": str(mask),
                   "n_labeled": int(len(labeled_x)), "n_pool": int(len(pool_x))}
@@ -307,8 +312,6 @@ def _transfer_pipeline(student, teacher, labeled_x, labeled_y, pool_x, bundle,
         stages["synthesis_transfer"] = stage2_transfer(
             student, teacher, x_all, bundle.val_x, cfg,
         )
-    pool_y = teacher.forward_logits(pool_x).argmax(axis=1).astype(np.int64)
-    y_all = np.concatenate([labeled_y, pool_y])
     if mask.distill:
         stages["inference"] = stage3_transfer(
             student, teacher, x_all, y_all, bundle.val_x, bundle.val_y, cfg,

@@ -295,6 +295,14 @@ class OutputMatchingObjective(Objective):
         return l1_loss(out, target)[0]
 
 
+def _first_non_finite(params) -> str:
+    for p in params:
+        for what, a in (("value", p.value), ("gradient", p.grad)):
+            if not np.isfinite(a).all():
+                return f"first non-finite: {p.name} {what}"
+    return "every parameter value and gradient is finite"
+
+
 def train(objective: Objective, train_x, train_y, val_x, val_y, cfg: TrainConfig,
           epoch_end=None) -> TrainHistory:
     """Run the epoch loop and leave the trainable stacks holding the
@@ -329,10 +337,7 @@ def train(objective: Objective, train_x, train_y, val_x, val_y, cfg: TrainConfig
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
-                    f" (lr={lr:g}); param norms: "
-                    + ", ".join(
-                        f"{p.name}={float(np.linalg.norm(p.value)):.3g}" for p in params[:8]
-                    )
+                    f" (lr={lr:g}); {_first_non_finite(params)}"
                 )
             adam.step(lr)
             max_norm_project(params, cfg.max_norm)

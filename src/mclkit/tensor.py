@@ -13,6 +13,7 @@ applied to each sample alone.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import Sequence
 
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 _SIGN_TOL = 1e-12
-_DIST_BLOCK_BYTES = 16 * 2**20  # float64 differences per _sq_dist_blocks block
+_BLOCK_BYTES = 16 * 2**20  # float64 working set per block of _sq_dist_blocks and hosvd_factors
 
 
 def _as_tensor(t, name="tensor"):
@@ -73,10 +74,10 @@ def _batched_mode_product(x, ws) -> np.ndarray:
 def _sq_dist_blocks(a, b):
     """Yield ``(start, d)`` with ``d[i, j]`` the float64 squared distance from
     ``a[start + i]`` to ``b[j]`` (samples flattened), in row blocks whose
-    differences fit ``_DIST_BLOCK_BYTES``; results do not depend on the budget."""
+    differences fit ``_BLOCK_BYTES``; results do not depend on the budget."""
     b = b.reshape(len(b), -1).astype(np.float64)
     a = a.reshape(len(a), -1)
-    rows = max(1, _DIST_BLOCK_BYTES // (8 * b.size))
+    rows = max(1, _BLOCK_BYTES // (8 * b.size))
     for start in range(0, len(a), rows):
         block = a[start : start + rows].astype(np.float64)
         yield start, ((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
@@ -181,13 +182,6 @@ def _fix_signs(u, v=None):
     return u if v is None else (u, v)
 
 
-def _thin_svd(m):
-    try:
-        return np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-
-
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin singular value decomposition ``m == U @ diag(s) @ V.T``.
 
@@ -195,7 +189,11 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     orthonormal columns and carry the package-wide sign convention so repeated
     calls are bit-reproducible.
     """
-    u, s, vh = _thin_svd(_as_matrix(m))
+    m = _as_matrix(m)
+    try:
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     u, v = _fix_signs(u, vh.T)
     return u, s, v
 
@@ -206,28 +204,54 @@ def hosvd_factors(samples, target_dims: Sequence[int]) -> list[np.ndarray]:
     For each mode ``k`` the per-sample mode-``k`` unfoldings are concatenated
     column-wise and the top ``target_dims[k]`` left singular vectors form the
     rows of factor ``k`` (shape ``target_dims[k] x I_k``, orthonormal rows).
-    Projecting with these factors captures at least as much energy as any
-    random orthonormal projection of the same size.
+    These equal the top eigenvectors of the unfolding's Gram matrix
+    ``U_k U_k^T`` (``I_k x I_k``), which one pass over the samples sums in
+    float64, in blocks of at most 16 MiB, so memory above the input stays
+    bounded whatever the number of samples.  Factors are float32 for float32
+    samples and float64 otherwise.  Projecting with these factors captures at
+    least as much energy as any random orthonormal projection of the same
+    size.
     """
     stack = np.asarray(samples)
     if stack.ndim < 2 or stack.shape[0] == 0:
         raise ValueError("hosvd_factors needs a non-empty list of tensors")
-    if not np.isfinite(stack).all():
-        raise ValueError("samples contain non-finite values")
     shape = stack.shape[1:]
     target_dims = tuple(int(d) for d in target_dims)
     if len(target_dims) != len(shape):
         raise ShapeMismatchError(
             f"expected {len(shape)} target dims, got {len(target_dims)}"
         )
-    factors = []
     for k, (dim, want) in enumerate(zip(shape, target_dims)):
         if not 1 <= want <= dim:
             raise ShapeMismatchError(
                 f"mode {k}: target dim {want} outside [1, {dim}]"
             )
-        # axis 0 of `stack` is the sample axis; sample mode k is axis k+1.
-        unfolded = np.moveaxis(stack, k + 1, 0).reshape(dim, -1)
-        u, _, _ = _thin_svd(unfolded)
-        factors.append(_fix_signs(u)[:, :want].T.copy())
+    size = math.prod(shape)
+    rows = max(1, _BLOCK_BYTES // (8 * size))
+    # One float64 buffer takes each block's mode-k unfolding in turn: the cast
+    # and the transpose happen in one copy, and no other block-sized array lives.
+    buf = np.empty(min(rows, len(stack)) * size)
+    grams = [np.zeros((dim, dim)) for dim in shape]
+    for start in range(0, len(stack), rows):
+        block = stack[start : start + rows]
+        if not np.isfinite(block).all():
+            raise ValueError("samples contain non-finite values")
+        for k, gram in enumerate(grams):
+            # axis 0 of `block` is the sample axis; sample mode k is axis k+1.
+            moved = np.moveaxis(block, k + 1, 0)
+            np.copyto(buf[: moved.size].reshape(moved.shape), moved)
+            unfolded = buf[: moved.size].reshape(shape[k], -1)
+            gram += unfolded @ unfolded.T
+    dtype = np.float32 if stack.dtype == np.float32 else np.float64
+    factors = []
+    for k, (gram, want) in enumerate(zip(grams, target_dims)):
+        if not np.isfinite(gram).all():
+            raise ValueError(f"mode {k}: samples too large, the Gram matrix overflows float64")
+        try:
+            _, vecs = np.linalg.eigh(gram)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+        # eigh sorts eigenvalues ascending; the factor wants the largest first.
+        u = _fix_signs(vecs[:, ::-1])
+        factors.append(u[:, :want].T.astype(dtype, order="C"))
     return factors

@@ -310,7 +310,7 @@ class TestSynthDataset:
         whole = ((flat[:, None, :] - t[None, :, :]) ** 2).sum(axis=2)
         expected = float(np.mean(whole.argmin(axis=1) == b.train_y))
         assert nearest_template_accuracy(b.train_x, b.train_y, b.templates) == expected
-        monkeypatch.setattr(tensor, "_DIST_BLOCK_BYTES", 1)
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 1)
         assert nearest_template_accuracy(b.train_x, b.train_y, b.templates) == expected
 
     def test_values_in_unit_range(self):

@@ -21,6 +21,7 @@ from mclkit import (
     train_prior_supervised,
 )
 from mclkit import distill
+from mclkit.checkpoint import content_crc
 from mclkit.distill import copy_stack_params
 from mclkit.errors import ConfigError, ShapeMismatchError, StateError
 from mclkit.layers import LayerStack, ModeProjection
@@ -366,6 +367,21 @@ class TestSemiSupervised:
             assert ra.stages[name].rows == rb.stages[name].rows
         for pa, pb in zip(a.all_params(), b.all_params()):
             assert np.array_equal(pa.value, pb.value)
+        assert content_crc(a) == content_crc(b)
+
+    def test_empty_pool_trains_on_the_labeled_arrays_uncopied(self, bundle, trained_teacher,
+                                                             quick_cfg, monkeypatch):
+        teacher, _ = trained_teacher
+        seen = []
+        for name in ("stage1_transfer", "stage2_transfer", "stage3_transfer"):
+            def record(student, teacher, *args, _real=getattr(distill, name)):
+                seen.append(args)
+                return _real(student, teacher, *args)
+
+            monkeypatch.setattr(distill, name, record)
+        train_mclwp_semisup(_student(seed=18), teacher, bundle, quick_cfg, StageMask())
+        assert len(seen) == 3 and all(args[0] is bundle.train_x for args in seen)
+        assert seen[2][1] is bundle.train_y  # stage 3 takes (x, y, ...)
 
     def test_transfer_stages_see_all_samples(self, trained_teacher):
         teacher, _ = trained_teacher

@@ -151,6 +151,8 @@ class TestHosvdInit:
         m = build_mcl((8, 8, 1), (3, 3, 1), 4, seed=0)
         with pytest.raises(ValueError):
             hosvd_init(m, np.zeros((0, 8, 8, 1)))
+        with pytest.raises(ShapeMismatchError):
+            hosvd_init(m, np.zeros((4, 8, 7, 1)))
         nonlinear = build_mcl((8, 8, 1), (3, 3, 1), 4, fs_kind="nonlinear", seed=0)
         with pytest.raises(ConfigError):
             hosvd_init(nonlinear, np.zeros((4, 8, 8, 1)))

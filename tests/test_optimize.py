@@ -233,7 +233,8 @@ class TestTrainLoop:
         stack = _toy_stack(seed=6)
         stack.params[0].value[...] = np.nan  # poisoned weights -> non-finite loss
         cfg = TrainConfig(epochs=2, lr_switch_epochs=(), lr_values=(1e-3,), seed=0)
-        with pytest.raises(TrainingDivergedError, match="epoch 0"):
+        with pytest.raises(TrainingDivergedError,
+                           match=r"epoch 0, batch 0 .*first non-finite: toy\.0\.w value"):
             train(SupervisedObjective([stack]), x, y, x, y, cfg)
 
     def test_max_norm_bound_after_every_epoch(self):

@@ -254,15 +254,90 @@ class TestHosvdFactors:
         with pytest.raises(ShapeMismatchError, match="mode 0"):
             tensor.hosvd_factors(np.zeros((3, 2, 2)), (5, 1))
 
+    def test_matches_svd_of_unfoldings(self):
+        # Each mode gets distinct scales under a random rotation, so every
+        # spectrum is well separated and the singular vectors are well defined.
+        rng = np.random.default_rng(21)
+        shape = (6, 5, 4)
+        samples = rng.normal(size=(40,) + shape)
+        for k, dim in enumerate(shape):
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            samples = np.moveaxis(
+                np.moveaxis(samples, k + 1, -1) * np.arange(dim, 0, -1.0) @ q.T, -1, k + 1
+            )
+        factors = tensor.hosvd_factors(samples, (3, 2, 2))
+        for k, f in enumerate(factors):
+            u, _, _ = np.linalg.svd(np.moveaxis(samples, k + 1, 0).reshape(shape[k], -1))
+            for row, ref in zip(f, u.T):
+                assert min(np.max(np.abs(row - ref)), np.max(np.abs(row + ref))) < 1e-8
+
+    def test_rank_deficient_input(self):
+        # Rank 1 with two rows per factor: the second eigenvalue is a repeated
+        # zero, so the second row may differ from the SVD's, but any choice is
+        # orthonormal and loses no energy.
+        rng = np.random.default_rng(22)
+        a, b, c = rand(rng, 6), rand(rng, 5), rand(rng, 3)
+        samples = np.einsum("n,i,j,k->nijk", rand(rng, 4), a, b, c)
+        factors = tensor.hosvd_factors(samples, (2, 2, 2))
+        refs = []
+        for k, f in enumerate(factors):
+            u, _, _ = np.linalg.svd(np.moveaxis(samples, k + 1, 0).reshape(f.shape[1], -1))
+            refs.append(u[:, :2].T)
+            assert np.max(np.abs(f @ f.T - np.eye(2))) < 1e-9
+            assert min(np.max(np.abs(f[0] - u[:, 0])), np.max(np.abs(f[0] + u[:, 0]))) < 1e-9
+
+        def recon_err(fs):
+            back = (tensor.multi_mode_product(tensor.multi_mode_product(s, fs), [f.T for f in fs])
+                    for s in samples)
+            return sum(float(np.sum((b - s) ** 2)) for b, s in zip(back, samples))
+
+        assert abs(recon_err(factors) - recon_err(refs)) < 1e-9
+
+    def test_block_budget_does_not_change_result(self, monkeypatch):
+        samples = rand(np.random.default_rng(23), 30, 6, 5, 4)
+        results = []
+        for budget in (1, 2**30):  # one sample per block, then all in one
+            monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
+            results.append(tensor.hosvd_factors(samples, (3, 2, 2)))
+        for small, whole in zip(*results):
+            assert np.max(np.abs(small - whole)) < 1e-12
+
+    def test_non_finite_in_later_block(self, monkeypatch):
+        samples = rand(np.random.default_rng(24), 5, 4, 3, 2)
+        samples[-1, 0, 0, 0] = np.nan
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            tensor.hosvd_factors(samples, (2, 2, 1))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_gram_overflow_is_value_error(self):
+        with pytest.raises(ValueError, match="overflows"):
+            tensor.hosvd_factors(np.full((2, 3, 3), 1e200), (1, 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_factor_dtype_follows_samples(self, dtype):
+        samples = rand(np.random.default_rng(25), 5, 4, 3, 2).astype(dtype)
+        for f in tensor.hosvd_factors(samples, (2, 2, 1)):
+            assert f.dtype == dtype and f.flags.c_contiguous
+
 
 def test_hosvd_svd_failure_is_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    samples = rand(np.random.default_rng(19), 3, 4, 3, 2)
+    with pytest.raises(ConvergenceError):
+        tensor.hosvd_factors(samples, (2, 2, 1))
+
+
+def test_svd_failure_is_convergence_error(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", fail)
-    samples = rand(np.random.default_rng(19), 3, 4, 3, 2)
     with pytest.raises(ConvergenceError):
-        tensor.hosvd_factors(samples, (2, 2, 1))
+        tensor.svd(np.eye(3))
 
 
 @pytest.mark.parametrize("budget", [1, 8 * 7 * 12 * 3, 2**30])
@@ -272,7 +347,7 @@ def test_distance_blocks_match_whole_array_bitwise(monkeypatch, budget):
     b = rng.random((7, 4, 3)).astype(np.float32)
     fa, fb = a.reshape(23, -1).astype(np.float64), b.reshape(7, -1).astype(np.float64)
     whole = ((fa[:, None, :] - fb[None, :, :]) ** 2).sum(axis=2)
-    monkeypatch.setattr(tensor, "_DIST_BLOCK_BYTES", budget)
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
     blocks = list(tensor._sq_dist_blocks(a, b))
     assert [start for start, _ in blocks] == list(range(0, 23, len(blocks[0][1])))
     assert all(d.dtype == np.float64 for _, d in blocks)
