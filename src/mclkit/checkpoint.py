@@ -43,6 +43,13 @@ _FS_CODES = {"multilinear": 0, "nonlinear": 1}
 _CAP_CODES = {"small": 0, "large": 1}
 
 
+def _decode(codes, code, what) -> str:
+    for name, c in codes.items():
+        if c == code:
+            return name
+    raise CheckpointFormatError(f"unknown {what} code {code}")
+
+
 def _meta_array(model) -> np.ndarray:
     kind = 0 if isinstance(model, MclModel) else 1
     fs = _FS_CODES[model.fs_kind] if isinstance(model, MclModel) else 0
@@ -73,8 +80,9 @@ def dumps(model) -> bytes:
 
 
 def save_checkpoint(model, path) -> None:
+    data = dumps(model)  # serialise first: a failure leaves no file behind
     with open(path, "wb") as fh:
-        fh.write(dumps(model))
+        fh.write(data)
 
 
 class _Reader:
@@ -139,14 +147,16 @@ def load_checkpoint(path):
     records = _read_file(path)
     if "__meta__" not in records:
         raise CheckpointFormatError("checkpoint has no __meta__ record")
-    meta = [int(round(v)) for v in records["__meta__"]]
-    if len(meta) != 11:
-        raise CheckpointFormatError(f"__meta__ has {len(meta)} values, expected 11")
-    kind, fs, cap, width, n_classes, h, w, c, m1, m2, m3 = meta
-    capacity = "large" if cap else "small"
+    meta = records["__meta__"]
+    if meta.shape != (11,):
+        raise CheckpointFormatError(f"__meta__ has shape {meta.shape}, expected (11,)")
+    if not (np.isfinite(meta).all() and (meta >= 0).all() and (meta == np.round(meta)).all()):
+        raise CheckpointFormatError(f"__meta__ holds a value that is not a count: {meta.tolist()}")
+    kind, fs, cap, width, n_classes, h, w, c, m1, m2, m3 = (int(v) for v in meta)
+    fs_kind = _decode(_FS_CODES, fs, "feature-synthesis")
+    capacity = _decode(_CAP_CODES, cap, "capacity")
     measurement = MeasurementConfig((m1, m2, m3))
     if kind == 0:
-        fs_kind = "nonlinear" if fs else "multilinear"
         model = build_mcl((h, w, c), measurement, n_classes, fs_kind=fs_kind,
                           width=width, capacity=capacity, seed=0)
     elif kind == 1:

@@ -30,7 +30,7 @@ from .distill import (
     train_prior_supervised,
 )
 from .errors import CheckpointError, ConfigError, DatasetError, MclError
-from .evaluate import _rows_to_csv, accuracy, knn_compressive, run_ablation
+from .evaluate import _row, _rows_to_csv, accuracy, knn_compressive, run_ablation
 from .models import MeasurementConfig, build_mcl, build_prior
 from .optimize import TrainConfig, TrainHistory
 
@@ -146,6 +146,11 @@ def _merged_config(args) -> dict:
     return values
 
 
+def _model_settings(values) -> dict:
+    """The builder settings the user set; the builders hold the defaults."""
+    return {k: values[k] for k in ("width", "capacity") if k in values}
+
+
 def _train_config(values, seed):
     kw = {k: v for k, v in values.items()
           if k in TrainConfig.__dataclass_fields__}
@@ -172,10 +177,8 @@ def _validate_run(args, values, seeds):
     ckpt = getattr(args, "checkpoint", None)
     if ckpt is not None and not Path(ckpt).is_file():
         raise ConfigError(f"checkpoint {ckpt} does not exist")
-    if args.command == "train-student":
-        StageMask.parse(args.mask)
-        if args.method in ("mclwp", "mclwp-s") and teacher is None:
-            raise ConfigError(f"method {args.method} requires --teacher")
+    if getattr(args, "method", None) in ("mclwp", "mclwp-s") and teacher is None:
+        raise ConfigError(f"method {args.method} requires --teacher")
     if args.command in ("eval", "ablate") and len(seeds) > 1:
         raise ConfigError(f"{args.command} takes one seed, got {args.seed!r}")
     if args.command != "eval" and "measurement" not in values:
@@ -226,11 +229,8 @@ def _run_training(args, values, seeds, trainer):
 
 def _cmd_train_prior(args, values, seeds, semisup):
     def trainer(bundle, cfg, seed):
-        teacher = build_prior(
-            bundle.signal_shape, values["measurement"], bundle.n_classes,
-            width=values.get("width", 16), capacity=values.get("capacity", "small"),
-            seed=seed,
-        )
+        teacher = build_prior(bundle.signal_shape, values["measurement"], bundle.n_classes,
+                              seed=seed, **_model_settings(values))
         if semisup:
             result = train_prior_semisup(teacher, bundle, cfg)
         else:
@@ -246,11 +246,8 @@ def _cmd_train_student(args, values, seeds):
 
     def trainer(bundle, cfg, seed):
         fs_kind = "multilinear" if method == "mcl" else "nonlinear"
-        student = build_mcl(
-            bundle.signal_shape, values["measurement"], bundle.n_classes,
-            fs_kind=fs_kind, width=values.get("width", 16),
-            capacity=values.get("capacity", "small"), seed=seed,
-        )
+        student = build_mcl(bundle.signal_shape, values["measurement"], bundle.n_classes,
+                            fs_kind=fs_kind, seed=seed, **_model_settings(values))
         if method == "mcl":
             result = train_mcl_baseline(student, bundle, cfg)
         elif method == "mclwop":
@@ -279,9 +276,7 @@ def _cmd_eval(args, values, seeds):
                                 bundle.test_x, bundle.test_y, k=k)
         metric = f"knn{k}_accuracy"
     runtime = time.perf_counter() - started
-    row = {"run_id": "eval", "mask_s1": "", "mask_s2": "", "mask_s3": "",
-           "config": str(model.measurement), "seed": seeds[0], "metric": metric,
-           "value": value}
+    row = _row("eval", model.measurement, seeds[0], metric, value)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(_rows_to_csv([row]))
@@ -296,8 +291,7 @@ def _cmd_ablate(args, values, seeds):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = run_ablation(bundle, cfg, values["measurement"], teacher=teacher,
-                          width=values.get("width", 16),
-                          capacity=values.get("capacity", "small"))
+                          **_model_settings(values))
     report.write_csv(out / "ablation.csv")
     _write_manifest(out / "manifest.json", "ablate", cfg, {
         "teacher_checksums": report.teacher_checksums,

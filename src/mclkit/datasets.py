@@ -93,11 +93,11 @@ def _record_dtype(path, dims) -> np.dtype:
 
 
 def _write_split(path, n_classes, *parts) -> None:
-    """Write the header, then each ``(x, y)`` part as records, 16 MiB at a
-    time; label -1 becomes the sentinel."""
+    """Write the header, then each ``(x, y)`` part as records, one
+    ``tensor._BLOCK_BYTES`` block at a time; label -1 becomes the sentinel."""
     dims = np.shape(parts[0][0])[1:]
     dtype = _record_dtype(path, dims)
-    rows = max(1, 2**24 // dtype.itemsize)
+    rows = max(1, tensor._BLOCK_BYTES // dtype.itemsize)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack(f"<{4 + len(dims)}I", VERSION, sum(len(x) for x, _ in parts),

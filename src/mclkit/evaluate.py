@@ -25,7 +25,7 @@ from .distill import (
     train_prior_supervised,
 )
 from .errors import ConfigError
-from .models import build_mcl, build_prior
+from .models import MeasurementConfig, build_mcl, build_prior
 from .optimize import TrainConfig
 
 __all__ = [
@@ -37,16 +37,22 @@ __all__ = [
     "PriorEffectReport",
 ]
 
-CSV_HEADER = "run_id,mask_s1,mask_s2,mask_s3,config,seed,metric,value"
+_FIELDS = ("run_id", "mask_s1", "mask_s2", "mask_s3", "config", "seed", "metric", "value")
+CSV_HEADER = ",".join(_FIELDS)
+
+
+def _row(run_id, config, seed, metric, value, mask=("", "", "")) -> dict:
+    """One report row; the measurement ``config`` is written as ``M1xM2xM3``."""
+    if not isinstance(config, MeasurementConfig):
+        config = MeasurementConfig(tuple(config))
+    return dict(zip(_FIELDS, (run_id, *mask, str(config), seed, metric, value)))
 
 
 def _rows_to_csv(rows) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            f"{r['run_id']},{r['mask_s1']},{r['mask_s2']},{r['mask_s3']},"
-            f"{r['config']},{r['seed']},{r['metric']},{r['value']!r}"
-        )
+        *cells, value = (r[f] for f in _FIELDS)
+        lines.append(",".join(map(str, cells)) + f",{value!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -120,16 +126,10 @@ def run_ablation(bundle: DatasetBundle, cfg: TrainConfig, measurement,
                             seed=cfg.seed)
         result = train_mclwp(student, teacher, bundle, cfg, mask)
         acc = accuracy(student, bundle.test_x, bundle.test_y)
-        report.rows.append({
-            "run_id": f"ablate-{mask}-seed{cfg.seed}",
-            "mask_s1": int(mask.sensing),
-            "mask_s2": int(mask.synthesis),
-            "mask_s3": int(mask.distill),
-            "config": str(measurement),
-            "seed": cfg.seed,
-            "metric": "test_accuracy",
-            "value": acc,
-        })
+        report.rows.append(_row(
+            f"ablate-{mask}-seed{cfg.seed}", measurement, cfg.seed, "test_accuracy", acc,
+            (int(mask.sensing), int(mask.synthesis), int(mask.distill)),
+        ))
         report.teacher_checksums.append(checkpoint.content_crc(teacher))
         report.results[str(mask)] = result
     return report
@@ -176,27 +176,11 @@ def compare_prior_effect(bundle: DatasetBundle, cfg: TrainConfig, measurement,
         ):
             acc = accuracy(model, bundle.test_x, bundle.test_y)
             accs[name].append(acc)
-            report.rows.append({
-                "run_id": f"{name}-seed{seed}",
-                "mask_s1": mask[0],
-                "mask_s2": mask[1],
-                "mask_s3": mask[2],
-                "config": str(measurement),
-                "seed": seed,
-                "metric": "test_accuracy",
-                "value": acc,
-            })
+            report.rows.append(_row(f"{name}-seed{seed}", measurement, seed,
+                                    "test_accuracy", acc, mask))
     for name, values in accs.items():
         median = statistics.median(values)
         report.medians[name] = median
-        report.rows.append({
-            "run_id": f"{name}-median",
-            "mask_s1": "",
-            "mask_s2": "",
-            "mask_s3": "",
-            "config": str(measurement),
-            "seed": -1,
-            "metric": "median_test_accuracy",
-            "value": median,
-        })
+        report.rows.append(_row(f"{name}-median", measurement, -1,
+                                "median_test_accuracy", median))
     return report

@@ -402,20 +402,6 @@ class LayerStack:
             grad = layer.backward(grad)
         return grad
 
-    def param_values(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value.copy() for p in self.params}
-
-    def load_param_values(self, values: dict[str, np.ndarray]):
-        for p in self.params:
-            if p.name not in values:
-                raise KeyError(f"missing value for parameter {p.name}")
-            v = np.asarray(values[p.name])
-            if v.shape != p.value.shape:
-                raise ShapeMismatchError(
-                    f"parameter {p.name}: stored shape {v.shape} != {p.value.shape}"
-                )
-            p.value[...] = v
-
 
 def _forward_path(stacks, x, training=False):
     for s in stacks:

@@ -159,10 +159,18 @@ class PriorModel(_CompressiveModel):
         self.pool_stages = int(pool_stages)
 
 
-def _convs_per_block(capacity: str) -> int:
+def _prologue(signal_shape, measurement, width, capacity):
+    """Coerce and check the settings both builders share; returns the signal
+    shape, the measurement config and the convolutions per block."""
+    signal_shape = tuple(int(d) for d in signal_shape)
+    if isinstance(measurement, (tuple, list)):
+        measurement = MeasurementConfig(tuple(measurement))
+    measurement.validate_for(signal_shape)
+    if width < 1:
+        raise ConfigError(f"width must be >= 1, got {width}")
     if capacity not in ("small", "large"):
         raise ConfigError(f"capacity must be 'small' or 'large', got {capacity!r}")
-    return 1 if capacity == "small" else 2
+    return signal_shape, measurement, 1 if capacity == "small" else 2
 
 
 def _pool_stage_count(signal_shape, m_dims) -> int:
@@ -170,10 +178,6 @@ def _pool_stage_count(signal_shape, m_dims) -> int:
     above the spatial measurement dims and divides the signal evenly."""
     h, w, _ = signal_shape
     m1, m2, _ = m_dims
-    if m1 > h or m2 > w:
-        raise ConfigError(
-            f"spatial measurement dims ({m1}, {m2}) unreachable from ({h}, {w})"
-        )
     p = 0
     while (
         p < 4
@@ -243,10 +247,7 @@ def build_mcl(signal_shape, measurement, n_classes, fs_kind="multilinear",
     feature synthesis; ``'nonlinear'`` mirrors the teacher's convolutional
     decoder so its weights can be copied across.
     """
-    signal_shape = tuple(int(d) for d in signal_shape)
-    if isinstance(measurement, (tuple, list)):
-        measurement = MeasurementConfig(tuple(measurement))
-    measurement.validate_for(signal_shape)
+    signal_shape, measurement, per_block = _prologue(signal_shape, measurement, width, capacity)
     if fs_kind not in ("multilinear", "nonlinear"):
         raise ConfigError(f"fs_kind must be 'multilinear' or 'nonlinear', got {fs_kind!r}")
     rng = np.random.default_rng(seed)
@@ -259,7 +260,6 @@ def build_mcl(signal_shape, measurement, n_classes, fs_kind="multilinear",
     if fs_kind == "multilinear":
         synth_layers = [ModeProjection(m_dims, signal_shape, rng=rng)]
     else:
-        per_block = _convs_per_block(capacity)
         synth_layers = _decoder_layers(signal_shape, m_dims, width, per_block, rng)
     synthesis = LayerStack(synth_layers, m_dims, name="synthesis")
     head = LayerStack(
@@ -280,12 +280,8 @@ def build_prior(signal_shape, measurement, n_classes, width=16, capacity="small"
     decoder mirrors it with nearest-neighbour upsampling.  ``capacity='large'``
     doubles the convolution count per block in both.
     """
-    signal_shape = tuple(int(d) for d in signal_shape)
-    if isinstance(measurement, (tuple, list)):
-        measurement = MeasurementConfig(tuple(measurement))
-    measurement.validate_for(signal_shape)
+    signal_shape, measurement, per_block = _prologue(signal_shape, measurement, width, capacity)
     rng = np.random.default_rng(seed)
-    per_block = _convs_per_block(capacity)
     m_dims = measurement.dims
     enc_layers, p = _encoder_layers(signal_shape, m_dims, width, per_block, rng)
     sensing = LayerStack(enc_layers, signal_shape, name="sensing")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,10 +69,13 @@ class TrainConfig:
             raise ConfigError("lr switch epochs must be strictly increasing")
         if switches and (switches[0] < 1 or switches[-1] >= self.epochs):
             raise ConfigError("lr switch epochs must lie inside (0, epochs)")
-        if self.max_norm <= 0:
+        # Written so that NaN fails every check.
+        if not all(math.isfinite(lr) and lr > 0 for lr in self.lr_values):
+            raise ConfigError(f"learning rates must be finite and > 0, got {self.lr_values}")
+        if not self.max_norm > 0:
             raise ConfigError("max_norm must be positive")
-        if self.distill_weight < 0:
-            raise ConfigError("distill_weight must be >= 0")
+        if not (math.isfinite(self.distill_weight) and self.distill_weight >= 0):
+            raise ConfigError("distill_weight must be finite and >= 0")
         if not 0 < self.confidence_threshold < 1:
             raise ConfigError("confidence_threshold must lie in (0, 1)")
         if self.epochs_per_round < 1:
@@ -98,15 +101,6 @@ class TrainConfig:
 
     def lr_at(self, epoch: int) -> float:
         return self.lr_values[bisect.bisect_right(self.lr_switch_epochs, epoch)]
-
-    def with_epochs(self, epochs: int, seed=None) -> "TrainConfig":
-        """Shorten the run, dropping schedule switches that no longer fit."""
-        switches = tuple(e for e in self.lr_switch_epochs if e < epochs)
-        values = tuple(self.lr_values[: len(switches) + 1])
-        kw = dict(epochs=epochs, lr_switch_epochs=switches, lr_values=values)
-        if seed is not None:
-            kw["seed"] = seed
-        return replace(self, **kw)
 
 
 class AdamState:

@@ -34,7 +34,9 @@ __all__ = [
 ]
 
 _SIGN_TOL = 1e-12
-_BLOCK_BYTES = 16 * 2**20  # float64 working set per block of _sq_dist_blocks and hosvd_factors
+# Working set per block: float64 in _sq_dist_blocks and hosvd_factors, records
+# in the .mcld writer (datasets._write_split).
+_BLOCK_BYTES = 16 * 2**20
 
 
 def _as_tensor(t, name="tensor"):

@@ -1,3 +1,4 @@
+import re
 import struct
 import zlib
 
@@ -124,3 +125,57 @@ def test_checkpoint_crc_changes_with_content(tmp_path, model):
     assert checkpoint.checkpoint_crc(p1) == before
     assert checkpoint.checkpoint_crc(p1) != checkpoint.checkpoint_crc(p2)
     assert checkpoint.content_crc(model) == checkpoint.checkpoint_crc(p2)
+
+
+def _record(name, value):
+    value = np.asarray(value, dtype="<f4")
+    return (struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", value.ndim)
+            + struct.pack(f"<{value.ndim}I", *value.shape) + value.tobytes())
+
+
+def _write_checkpoint(path, *records):
+    """A checkpoint of the given records under a matching CRC."""
+    body = checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + b"".join(records)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+# kind, fs, capacity, width, n_classes, h, w, c, m1, m2, m3 of the model fixture
+_META = [0, 1, 0, 4, 4, 8, 8, 1, 3, 3, 1]
+
+
+@pytest.mark.parametrize("index,value", [
+    (3, float("nan")), (3, float("inf")), (3, -3), (1, 5), (2, 7), (0, 0.4), (0, 2),
+])
+def test_invalid_meta_is_format_error(tmp_path, model, index, value):
+    params = [_record(p.name, p.value) for p in model.all_params()]
+    path = tmp_path / "m.mclk"
+    _write_checkpoint(path, _record("__meta__", _META), *params)
+    assert checkpoint.content_crc(checkpoint.load_checkpoint(path)) == checkpoint.content_crc(model)
+    meta = list(_META)
+    meta[index] = value
+    _write_checkpoint(path, _record("__meta__", meta), *params)
+    with pytest.raises(CheckpointFormatError):
+        checkpoint.load_checkpoint(path)
+
+
+def test_restore_names_missing_and_unknown_parameters(tmp_path, model):
+    params = model.all_params()
+    path = tmp_path / "m.mclk"
+    _write_checkpoint(path, *(_record(p.name, p.value) for p in params[1:]))
+    with pytest.raises(CheckpointShapeError, match=f"missing parameter '{re.escape(params[0].name)}'"):
+        checkpoint.restore_parameters(model, path)
+    _write_checkpoint(path, *(_record(p.name, p.value) for p in params),
+                      _record("extra.0.w", np.zeros(2)))
+    with pytest.raises(CheckpointShapeError, match=r"unknown parameters: \['extra\.0\.w'\]"):
+        checkpoint.restore_parameters(model, path)
+
+
+def test_failed_serialisation_leaves_no_file(tmp_path, model, monkeypatch):
+    def failing_dumps(m):
+        raise RuntimeError("serialisation failed")
+
+    monkeypatch.setattr(checkpoint, "dumps", failing_dumps)
+    path = tmp_path / "m.mclk"
+    with pytest.raises(RuntimeError, match="serialisation failed"):
+        checkpoint.save_checkpoint(model, path)
+    assert not path.exists()

@@ -113,6 +113,12 @@ class TestValidation:
                                                         tmp_path, line):
         assert _train_student_with_extra_line(dataset_dir, config_file, tmp_path, line) == 2
 
+    @pytest.mark.parametrize("line", ["capacity=huge", "width=0", "width=-1", "max_norm=nan"])
+    def test_bad_setting_exits_2_without_checkpoint(self, dataset_dir, config_file,
+                                                    tmp_path, line):
+        assert _train_student_with_extra_line(dataset_dir, config_file, tmp_path, line) == 2
+        assert not (tmp_path / "out" / "checkpoint.mclk").exists()
+
 
 def _train_student_with_extra_line(dataset_dir, config_file, tmp_path, line):
     cfg = tmp_path / "extra.cfg"

@@ -155,6 +155,8 @@ class TestAblation:
         lines = rep.csv_text().strip().split("\n")
         assert lines[0] == "run_id,mask_s1,mask_s2,mask_s3,config,seed,metric,value"
         assert len(lines) == 9
+        assert all(len(line.split(",")) == 8 for line in lines)
+        assert {line.split(",")[4] for line in lines[1:]} == {"3x3x1"}
         rerun = run_ablation(bundle, cfg, (3, 3, 1), width=4)
         assert rerun.csv_text() == rep.csv_text()
 

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,16 @@ class TestBuildMcl:
     def test_rate_quarter(self):
         m = build_mcl((8, 8, 1), (4, 4, 1), 4)
         assert m.measurement.rate(m.signal_shape) == 0.25
+
+
+@pytest.mark.parametrize("build", [
+    partial(build_mcl, fs_kind="multilinear"), partial(build_mcl, fs_kind="nonlinear"), build_prior,
+], ids=["multilinear", "nonlinear", "prior"])
+@pytest.mark.parametrize("setting", [dict(width=0), dict(width=-1), dict(capacity="huge")],
+                         ids=["width0", "width-1", "capacity-huge"])
+def test_bad_model_settings_rejected_by_every_builder(build, setting):
+    with pytest.raises(ConfigError):
+        build((8, 8, 1), (4, 4, 1), 4, **setting)
 
 
 class TestBuildPrior:

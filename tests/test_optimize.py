@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,12 +50,12 @@ class TestTrainConfig:
             TrainConfig(max_norm=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(epochs_per_round=0)
-
-    def test_with_epochs_drops_unreachable_switches(self):
-        cfg = TrainConfig.full_schedule().with_epochs(5)
-        assert cfg.epochs == 5
-        assert cfg.lr_switch_epochs == ()
-        assert cfg.lr_values == (1e-3,)
+        for bad in (dict(max_norm=math.nan), dict(max_norm=-1.0),
+                    dict(distill_weight=math.nan), dict(distill_weight=math.inf),
+                    dict(lr_values=(math.nan, 1e-4, 1e-5)), dict(lr_values=(-1.0, 1e-4, 1e-5)),
+                    dict(lr_values=(1e-3, math.inf, 1e-5)), dict(lr_values=(1e-3, 1e-4, 0.0))):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad)
 
 
 class TestAdam:
