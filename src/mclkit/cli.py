@@ -34,15 +34,17 @@ from .evaluate import _row, _rows_to_csv, accuracy, knn_compressive, run_ablatio
 from .models import MeasurementConfig, build_mcl, build_prior
 from .optimize import TrainConfig, TrainHistory
 
-# Config-file keys and their value types: every TrainConfig field but the
-# seed (flag-only, like --method and --mask), typed by its default, where a
-# tuple default reads as a comma-separated list of its first element's type;
-# plus the model and evaluation settings.
-_CONFIG_KEYS = {
+# Config-file keys and their value types, per command.  The training
+# commands take every TrainConfig field but the seed (flag-only, like
+# --method and --mask), typed by its default, where a tuple default reads as
+# a comma-separated list of its first element's type, plus the model
+# settings; eval takes only its own settings.
+_TRAIN_KEYS = {
     f.name: (type(f.default[0]),) if isinstance(f.default, tuple) else type(f.default)
     for f in fields(TrainConfig) if f.name != "seed"
 }
-_CONFIG_KEYS.update(measurement=str, width=int, capacity=str, labeled_fraction=float, k=int)
+_TRAIN_KEYS.update(measurement=str, width=int, capacity=str, labeled_fraction=float)
+_EVAL_KEYS = {"labeled_fraction": float, "k": int}
 
 
 def _parse_value(kind, text):
@@ -57,8 +59,8 @@ def _parse_value(kind, text):
     return kind(text)
 
 
-def read_config_file(path) -> dict:
-    """Flat ``key=value`` file; '#' starts a comment."""
+def read_config_file(path, keys=_TRAIN_KEYS) -> dict:
+    """Flat ``key=value`` file of the given ``keys``; '#' starts a comment."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -68,10 +70,10 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _parse_value(_CONFIG_KEYS[key], val)
+            values[key] = _parse_value(keys[key], val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
@@ -95,6 +97,7 @@ def _build_parser():
 
     def train_flags(p):
         data_flags(p)
+        p.set_defaults(config_keys=_TRAIN_KEYS)
         p.add_argument("--measurement", help="measurement dims, e.g. 4x4x1")
         p.add_argument("--epochs", type=int, help="epochs per optimization procedure")
         p.add_argument("--width", type=int, help="convolution channel width")
@@ -125,7 +128,7 @@ def _build_parser():
     p.add_argument("--checkpoint", required=True, help="model checkpoint to evaluate")
     p.add_argument("--metric", default="accuracy", choices=["accuracy", "knn"])
     p.add_argument("--k", type=int, help="neighbour count for knn (default 5)")
-    p.set_defaults(run=_cmd_eval)
+    p.set_defaults(run=_cmd_eval, config_keys=_EVAL_KEYS)
 
     p = sub.add_parser("ablate", help="run the 8-mask stage ablation")
     train_flags(p)
@@ -139,9 +142,9 @@ def _merged_config(args) -> dict:
     if args.config:
         if not Path(args.config).is_file():
             raise ConfigError(f"config file {args.config} does not exist")
-        values.update(read_config_file(args.config))
+        values.update(read_config_file(args.config, args.config_keys))
     for key, flag in vars(args).items():
-        if key in _CONFIG_KEYS and flag is not None:
+        if key in args.config_keys and flag is not None:
             values[key] = flag
     return values
 
@@ -204,63 +207,61 @@ def _load_bundle(args, values, seed):
     return bundle
 
 
-def _run_training(args, values, seeds, trainer):
+def _run_training(args, values, seeds, build, fit, extra):
+    """Per seed, build the TrainConfig and ``build(bundle, seed)``'s model,
+    which checks every setting, before ``--out`` is created; then
+    ``fit(model, bundle, cfg)`` trains and the three outputs are written."""
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
         bundle = _load_bundle(args, values, seed)
         cfg = _train_config(values, seed)
+        model = build(bundle, seed)
         out = out_root / f"seed_{seed}" if len(seeds) > 1 else out_root
         out.mkdir(parents=True, exist_ok=True)
-        model, result, extra = trainer(bundle, cfg, seed)
+        result = fit(model, bundle, cfg)
         test_acc = accuracy(model, bundle.test_x, bundle.test_y)
         checkpoint.save_checkpoint(model, out / "checkpoint.mclk")
         rows = [r for h in result.stages.values() for r in h.rows]
         TrainHistory(rows=rows).write_csv(out / "history.csv")
-        extra = dict(extra)
-        extra.update({
+        _write_manifest(out / "manifest.json", args.command, cfg, {
+            **extra,
             "seed": seed,
             "test_accuracy": test_acc,
             "report": result.report(),
         })
-        _write_manifest(out / "manifest.json", args.command, cfg, extra)
     return 0
 
 
 def _cmd_train_prior(args, values, seeds, semisup):
-    def trainer(bundle, cfg, seed):
-        teacher = build_prior(bundle.signal_shape, values["measurement"], bundle.n_classes,
-                              seed=seed, **_model_settings(values))
-        if semisup:
-            result = train_prior_semisup(teacher, bundle, cfg)
-        else:
-            result = train_prior_supervised(teacher, bundle, cfg)
-        return teacher, result, {"model": "prior"}
+    def build(bundle, seed):
+        return build_prior(bundle.signal_shape, values["measurement"], bundle.n_classes,
+                           seed=seed, **_model_settings(values))
 
-    return _run_training(args, values, seeds, trainer)
+    fit = train_prior_semisup if semisup else train_prior_supervised
+    return _run_training(args, values, seeds, build, fit, {"model": "prior"})
 
 
 def _cmd_train_student(args, values, seeds):
     mask = StageMask.parse(args.mask)
     method = args.method
+    fs_kind = "multilinear" if method == "mcl" else "nonlinear"
 
-    def trainer(bundle, cfg, seed):
-        fs_kind = "multilinear" if method == "mcl" else "nonlinear"
-        student = build_mcl(bundle.signal_shape, values["measurement"], bundle.n_classes,
-                            fs_kind=fs_kind, seed=seed, **_model_settings(values))
-        if method == "mcl":
-            result = train_mcl_baseline(student, bundle, cfg)
-        elif method == "mclwop":
-            result = train_mclwop(student, bundle, cfg)
-        else:
-            teacher = checkpoint.load_checkpoint(args.teacher)
-            if method == "mclwp":
-                result = train_mclwp(student, teacher, bundle, cfg, mask)
-            else:
-                result = train_mclwp_semisup(student, teacher, bundle, cfg, mask)
-        return student, result, {"model": method, "mask": str(mask)}
+    def build(bundle, seed):
+        return build_mcl(bundle.signal_shape, values["measurement"], bundle.n_classes,
+                         fs_kind=fs_kind, seed=seed, **_model_settings(values))
 
-    return _run_training(args, values, seeds, trainer)
+    if method in ("mcl", "mclwop"):
+        fit = train_mcl_baseline if method == "mcl" else train_mclwop
+    else:
+        # The teacher is frozen and checked unchanged by every run, so one
+        # load serves every seed.
+        teacher = checkpoint.load_checkpoint(args.teacher)
+        transfer = train_mclwp if method == "mclwp" else train_mclwp_semisup
+
+        def fit(student, bundle, cfg):
+            return transfer(student, teacher, bundle, cfg, mask)
+
+    return _run_training(args, values, seeds, build, fit, {"model": method, "mask": str(mask)})
 
 
 def _cmd_eval(args, values, seeds):
@@ -288,10 +289,12 @@ def _cmd_ablate(args, values, seeds):
     bundle = _load_bundle(args, values, seeds[0])
     cfg = _train_config(values, seeds[0])
     teacher = checkpoint.load_checkpoint(args.teacher) if args.teacher else None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # The models are built (and their settings checked) inside the ablation,
+    # so --out is created only once it has results to hold.
     report = run_ablation(bundle, cfg, values["measurement"], teacher=teacher,
                           **_model_settings(values))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "ablation.csv")
     _write_manifest(out / "manifest.json", "ablate", cfg, {
         "teacher_checksums": report.teacher_checksums,

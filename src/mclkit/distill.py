@@ -20,7 +20,7 @@ import numpy as np
 
 from .datasets import DatasetBundle
 from .errors import ConfigError, ShapeMismatchError, StateError
-from .layers import LayerStack
+from .layers import LayerStack, _forward_chunks
 from .losses import softmax
 from .models import MclModel, PriorModel, hosvd_init
 from .optimize import (
@@ -247,13 +247,20 @@ def train_prior_semisup(prior: PriorModel, bundle: DatasetBundle,
 # Knowledge-transfer stages
 # --------------------------------------------------------------------------
 
+_PER_BATCH = (None, None)  # no precomputed (training, validation) targets
+
+
 def stage1_transfer(student: MclModel, teacher, x, val_x, cfg: TrainConfig) -> TrainHistory:
     """Fit the student's separable sensing to the teacher's measurements
     (mean-absolute gap); only the sensing factors update."""
+    return _stage1(student, teacher, x, val_x, cfg)
+
+
+def _stage1(student, teacher, x, val_x, cfg, targets=_PER_BATCH):
     _check_measurement_match(student, teacher)
     return train(
         OutputMatchingObjective([student.sensing], [teacher.sensing]),
-        x, None, val_x, None, cfg,
+        x, targets[0], val_x, targets[1], cfg,
     )
 
 
@@ -264,6 +271,10 @@ def stage2_transfer(student: MclModel, teacher, x, val_x, cfg: TrainConfig) -> T
     first initialised from the teacher's; otherwise the student keeps its own
     initialisation.
     """
+    return _stage2(student, teacher, x, val_x, cfg)
+
+
+def _stage2(student, teacher, x, val_x, cfg, targets=_PER_BATCH):
     _check_measurement_match(student, teacher)
     copy_stack_params(teacher.synthesis, student.synthesis)
     return train(
@@ -271,7 +282,7 @@ def stage2_transfer(student: MclModel, teacher, x, val_x, cfg: TrainConfig) -> T
             [student.sensing, student.synthesis],
             [teacher.sensing, teacher.synthesis],
         ),
-        x, None, val_x, None, cfg,
+        x, targets[0], val_x, targets[1], cfg,
     )
 
 
@@ -280,6 +291,10 @@ def stage3_transfer(student: MclModel, teacher, x, y, val_x, val_y,
     """Discriminative training with a symmetric-KL pull toward the teacher's
     predictions (weighted by ``cfg.distill_weight``; the teacher's raw
     predictions are used directly, no temperature)."""
+    return _stage3(student, teacher, x, y, val_x, val_y, cfg)
+
+
+def _stage3(student, teacher, x, y, val_x, val_y, cfg, labeled_logits=None):
     if teacher.n_classes != student.n_classes:
         raise ConfigError(
             f"class counts differ: student {student.n_classes}, teacher {teacher.n_classes}"
@@ -290,50 +305,122 @@ def stage3_transfer(student: MclModel, teacher, x, y, val_x, val_y,
         [teacher.sensing, teacher.synthesis, teacher.head],
         cfg.distill_weight,
     )
-    return train(objective, x, y, val_x, val_y, cfg)
+    return train(objective, x, y if labeled_logits is None else labeled_logits,
+                 val_x, val_y, cfg)
 
 
-def _transfer_pipeline(student, teacher, labeled_x, labeled_y, pool_x, bundle,
-                       cfg, mask: StageMask) -> PipelineResult:
-    _check_measurement_match(student, teacher)
+def _teacher_targets(teacher, x, y, val_x, cfg, masks) -> dict:
+    """The frozen teacher's outputs that the stages of ``masks`` match,
+    computed once: ``measurements`` and ``features`` as (training rows,
+    validation rows), and ``labeled_logits``, the labels packed with the
+    teacher's logits, for the teacher pull.
+
+    BLAS may round a row differently at another row count, so the training
+    rows run in blocks of the batch size, as train() runs them, and the
+    validation rows in the chunks that the validation metric uses.  The tests
+    check that each row then equals the per-batch teacher's bit for bit.
+    Empty when a batch can differ from its precomputed rows: augmented
+    batches need the teacher on their own rows, and a one-row batch takes
+    numpy's matrix-vector product instead of the matrix product.
+    """
+    n, b = len(x), cfg.batch_size
+    sensing = any(m.sensing for m in masks)
+    synthesis = any(m.synthesis for m in masks)
+    pull = cfg.distill_weight != 0 and any(m.distill for m in masks)
+    augmented = cfg.flip or cfg.shift_fraction > 0
+    if augmented or (n % b or b) < 2 or not (sensing or synthesis or pull):
+        return {}
+    meas = _forward_chunks([teacher.sensing], x, b)
+    val_meas = _forward_chunks([teacher.sensing], val_x)
+    targets = {"measurements": (meas, val_meas)}
+    feats = None
+    if synthesis:
+        feats = _forward_chunks([teacher.synthesis], meas, b)
+        targets["features"] = (feats, _forward_chunks([teacher.synthesis], val_meas))
+    if pull:
+        logits = (_forward_chunks([teacher.head], feats, b) if feats is not None
+                  else _forward_chunks([teacher.synthesis, teacher.head], meas, b))
+        labeled = np.empty(n, dtype=[("label", y.dtype),
+                                     ("teacher_logits", logits.dtype, logits.shape[1:])])
+        labeled["label"], labeled["teacher_logits"] = y, logits
+        targets["labeled_logits"] = labeled
+    return targets
+
+
+def _train_prefixes(students, masks, teacher, x, val_x, cfg, targets):
+    """Run each mask's matching stages (1 and 2, as set) on its student and
+    return each student's stage histories.
+
+    Masks whose stage flags start alike share that prefix: it runs once, and
+    the parameters it leaves are copied into each later student that starts
+    with it.  That is exact because every :func:`train` call reseeds from
+    ``cfg.seed`` and starts fresh Adam state, and all students start equal.
+    """
+    reached: dict = {}  # stage flags so far -> (parameter values, histories)
+    histories = []
+    for mask, student in zip(masks, students):
+        stages = {}
+        for flags, name, run, target in (
+            ((mask.sensing,), "sensing_transfer", _stage1, "measurements"),
+            ((mask.sensing, mask.synthesis), "synthesis_transfer", _stage2, "features"),
+        ):
+            if flags in reached:
+                values, stages = reached[flags]
+                for p, v in zip(student.all_params(), values):
+                    p.value[...] = v
+                continue
+            if flags[-1]:
+                stages = {**stages, name: run(student, teacher, x, val_x, cfg,
+                                              targets.get(target, _PER_BATCH))}
+            reached[flags] = ([p.value.copy() for p in student.all_params()], stages)
+        histories.append(stages)
+    return histories
+
+
+def _transfer(students, masks, teacher, bundle, cfg, pool_x=()):
+    """Knowledge transfer into each student by its mask, yielding the
+    :class:`PipelineResult` of each in turn.
+
+    The matching stages run first for every mask, sharing common prefixes,
+    then each mask's final stage; the teacher is checked unchanged after
+    every mask.
+    """
+    _check_measurement_match(students[0], teacher)
     teacher_before = [p.value.copy() for p in teacher.all_params()]
-    x_all, y_all = labeled_x, labeled_y
+    x, y = bundle.train_x, bundle.train_y
     if len(pool_x):
         # The frozen teacher's hard predictions label the pool, once.
         pool_y = teacher.forward_logits(pool_x).argmax(axis=1).astype(np.int64)
-        x_all = np.concatenate([labeled_x, pool_x])
-        y_all = np.concatenate([labeled_y, pool_y])
-    stages: dict[str, TrainHistory] = {}
-    info: dict = {"kind": "knowledge_transfer", "mask": str(mask),
-                  "n_labeled": int(len(labeled_x)), "n_pool": int(len(pool_x))}
-    if mask.sensing:
-        stages["sensing_transfer"] = stage1_transfer(student, teacher, x_all, bundle.val_x, cfg)
-    if mask.synthesis:
-        stages["synthesis_transfer"] = stage2_transfer(
-            student, teacher, x_all, bundle.val_x, cfg,
-        )
-    if mask.distill:
-        stages["inference"] = stage3_transfer(
-            student, teacher, x_all, y_all, bundle.val_x, bundle.val_y, cfg,
-        )
-    else:
-        # Only the teacher-prediction pull is dropped; plain inference
-        # training still runs, from whatever the earlier stages left behind.
-        stages["inference"] = train(
-            SupervisedObjective([student.sensing, student.synthesis, student.head]),
-            x_all, y_all, bundle.val_x, bundle.val_y, cfg,
-        )
-    for p, before in zip(teacher.all_params(), teacher_before):
-        if not np.array_equal(p.value, before):
-            raise StateError(f"teacher parameter {p.name} changed during knowledge transfer")
-    return PipelineResult(student, stages, info)
+        x = np.concatenate([x, pool_x])
+        y = np.concatenate([y, pool_y])
+    val_x, val_y = bundle.val_x, bundle.val_y
+    targets = _teacher_targets(teacher, x, y, val_x, cfg, masks)
+    prefix_stages = _train_prefixes(students, masks, teacher, x, val_x, cfg, targets)
+    targets.pop("features", None)  # the largest target; no final stage reads it
+    for mask, student, stages in zip(masks, students, prefix_stages):
+        if mask.distill:
+            final = _stage3(student, teacher, x, y, val_x, val_y, cfg,
+                            targets.get("labeled_logits"))
+        else:
+            # Only the teacher-prediction pull is dropped; plain inference
+            # training still runs, from whatever the earlier stages left behind.
+            final = train(
+                SupervisedObjective([student.sensing, student.synthesis, student.head]),
+                x, y, val_x, val_y, cfg,
+            )
+        for p, before in zip(teacher.all_params(), teacher_before):
+            if not np.array_equal(p.value, before):
+                raise StateError(f"teacher parameter {p.name} changed during knowledge transfer")
+        info = {"kind": "knowledge_transfer", "mask": str(mask),
+                "n_labeled": int(len(bundle.train_x)), "n_pool": int(len(pool_x))}
+        yield PipelineResult(student, {**stages, "inference": final}, info)
 
 
 def train_mclwp(student: MclModel, teacher, bundle: DatasetBundle,
                 cfg: TrainConfig, mask: StageMask = StageMask()) -> PipelineResult:
     """Full supervised knowledge transfer (stages per mask, inference always)."""
-    return _transfer_pipeline(student, teacher, bundle.train_x, bundle.train_y,
-                              bundle.unlabeled_x[:0], bundle, cfg, mask)
+    [result] = _transfer([student], [mask], teacher, bundle, cfg)
+    return result
 
 
 def train_mclwp_semisup(student: MclModel, teacher, bundle: DatasetBundle,
@@ -345,8 +432,8 @@ def train_mclwp_semisup(student: MclModel, teacher, bundle: DatasetBundle,
     pool (computed once).  With an empty pool this reduces exactly to
     :func:`train_mclwp`.
     """
-    return _transfer_pipeline(student, teacher, bundle.train_x, bundle.train_y,
-                              bundle.unlabeled_x, bundle, cfg, mask)
+    [result] = _transfer([student], [mask], teacher, bundle, cfg, bundle.unlabeled_x)
+    return result
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from . import checkpoint, tensor
 from .datasets import DatasetBundle
 from .distill import (
     StageMask,
+    _transfer,
     train_mclwop,
     train_mclwp,
     train_prior_supervised,
@@ -112,20 +113,23 @@ def run_ablation(bundle: DatasetBundle, cfg: TrainConfig, measurement,
     """Train one student per stage mask (all 8) against a single shared
     teacher and report test accuracy per mask.
 
-    The teacher is trained once (or passed in) and its serialized checksum is
-    recorded after every run, proving it was reused untouched.
+    Each mask's student equals a fresh :func:`train_mclwp` run, but masks
+    that share their first stages share those runs: 11 stage runs instead
+    of 16.  Without augmentation the teacher's outputs are computed once for
+    all 8.  The teacher is trained once (or passed in) and its serialized
+    checksum is recorded after every mask, proving it was reused untouched.
     """
     if teacher is None:
         teacher = build_prior(bundle.signal_shape, measurement, bundle.n_classes,
                               width=width, capacity=capacity, seed=cfg.seed)
         train_prior_supervised(teacher, bundle, cfg)
+    masks = StageMask.all_masks()
+    students = [build_mcl(bundle.signal_shape, measurement, bundle.n_classes,
+                          fs_kind="nonlinear", width=width, capacity=capacity, seed=cfg.seed)
+                for _ in masks]
     report = AblationReport()
-    for mask in StageMask.all_masks():
-        student = build_mcl(bundle.signal_shape, measurement, bundle.n_classes,
-                            fs_kind="nonlinear", width=width, capacity=capacity,
-                            seed=cfg.seed)
-        result = train_mclwp(student, teacher, bundle, cfg, mask)
-        acc = accuracy(student, bundle.test_x, bundle.test_y)
+    for mask, result in zip(masks, _transfer(students, masks, teacher, bundle, cfg)):
+        acc = accuracy(result.model, bundle.test_x, bundle.test_y)
         report.rows.append(_row(
             f"ablate-{mask}-seed{cfg.seed}", measurement, cfg.seed, "test_accuracy", acc,
             (int(mask.sensing), int(mask.synthesis), int(mask.distill)),

@@ -410,8 +410,14 @@ def _forward_path(stacks, x, training=False):
 
 
 def _forward_chunks(stacks, x, chunk=256):
-    """Inference through a stack pipeline in fixed chunks of rows; an empty
-    input makes one zero-row pass, so the result keeps its sample shape."""
-    outs = [_forward_path(stacks, x[i : i + chunk])
-            for i in range(0, len(x), chunk) or [0]]
-    return np.concatenate(outs, axis=0)
+    """Inference through a stack pipeline in fixed chunks of rows, written
+    into one output array; an empty input makes one zero-row pass, so the
+    result keeps its sample shape."""
+    first = _forward_path(stacks, x[:chunk])
+    if len(x) <= chunk:
+        return first
+    out = np.empty((len(x),) + first.shape[1:], dtype=first.dtype)
+    out[:chunk] = first
+    for i in range(chunk, len(x), chunk):
+        out[i : i + chunk] = _forward_path(stacks, x[i : i + chunk])
+    return out

@@ -234,7 +234,9 @@ class SupervisedObjective(Objective):
     student's; selects on validation accuracy.
 
     With weight 0 the teacher is never run, so the loss is plain
-    cross-entropy whether or not a teacher path is given.
+    cross-entropy whether or not a teacher path is given.  The training
+    targets may be a record array of ``label`` and ``teacher_logits``: the
+    teacher's predictions on those rows, computed beforehand.
     """
 
     def __init__(self, path, teacher_path=(), weight=0.0):
@@ -246,10 +248,14 @@ class SupervisedObjective(Objective):
         self.trainable = self.path
 
     def batch_loss(self, x, y):
+        teacher_logits = None
+        if y.dtype.names:
+            y, teacher_logits = y["label"], y["teacher_logits"]
         logits = _forward_path(self.path, x, training=True)
         loss, grad = cross_entropy(logits, y)
         if self.weight != 0.0:
-            teacher_logits = _forward_path(self.teacher_path, x, training=False)
+            if teacher_logits is None:
+                teacher_logits = _forward_path(self.teacher_path, x, training=False)
             kl, _, g_kl = symmetric_kl(teacher_logits, logits)
             loss += self.weight * kl
             grad = grad + self.weight * g_kl
@@ -266,7 +272,9 @@ class OutputMatchingObjective(Objective):
     pipeline evaluated on the same inputs; selects on lowest validation gap.
 
     An empty reference path is the identity, so the target is the input
-    itself: l1 reconstruction through an encoder + decoder pipeline.
+    itself: l1 reconstruction through an encoder + decoder pipeline.  Targets
+    given as ``y`` are the reference outputs on those rows, computed
+    beforehand; the reference path then does not run.
     """
 
     higher_is_better = False
@@ -278,14 +286,14 @@ class OutputMatchingObjective(Objective):
 
     def batch_loss(self, x, y):
         out = _forward_path(self.path, x, training=True)
-        target = _forward_path(self.teacher_path, x, training=False)
+        target = _forward_path(self.teacher_path, x, training=False) if y is None else y
         loss, grad, _ = l1_loss(out, target)
         _backward_path(self.path, grad)
         return loss
 
     def val_metric(self, x, y):
         out = _forward_chunks(self.path, x)
-        target = _forward_chunks(self.teacher_path, x)
+        target = _forward_chunks(self.teacher_path, x) if y is None else y
         return l1_loss(out, target)[0]
 
 

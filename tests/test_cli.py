@@ -119,6 +119,21 @@ class TestValidation:
         assert _train_student_with_extra_line(dataset_dir, config_file, tmp_path, line) == 2
         assert not (tmp_path / "out" / "checkpoint.mclk").exists()
 
+    @pytest.mark.parametrize("command,flags,line", [
+        ("train-prior", [], "max_norm=nan"),
+        ("train-student", ["--method", "mcl", "--width", "0"], ""),
+        ("ablate", ["--width", "0"], ""),
+    ], ids=["train-prior-max_norm", "train-student-width", "ablate-width"])
+    def test_bad_setting_leaves_no_out_directory(self, dataset_dir, config_file, tmp_path,
+                                                 command, flags, line):
+        cfg = tmp_path / "extra.cfg"
+        cfg.write_text(config_file.read_text() + line + "\n")
+        out = tmp_path / "out"
+        code = main([command, "--dataset", str(dataset_dir / "plain"), "--config", str(cfg),
+                     "--measurement", "3x3x1", *flags, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
 
 def _train_student_with_extra_line(dataset_dir, config_file, tmp_path, line):
     cfg = tmp_path / "extra.cfg"
@@ -225,7 +240,6 @@ class TestEvalAndAblate:
     def test_eval_accuracy(self, dataset_dir, config_file, teacher_ckpt, tmp_path):
         out = tmp_path / "eval"
         code = main(["eval", "--dataset", str(dataset_dir / "plain"),
-                     "--config", str(config_file),
                      "--checkpoint", str(teacher_ckpt),
                      "--metric", "accuracy", "--out", str(out)])
         assert code == 0
@@ -239,7 +253,6 @@ class TestEvalAndAblate:
         for name in ("k1", "k2"):
             out = tmp_path / name
             code = main(["eval", "--dataset", str(dataset_dir / "plain"),
-                         "--config", str(config_file),
                          "--checkpoint", str(teacher_ckpt),
                          "--metric", "knn", "--out", str(out)])
             assert code == 0
@@ -266,20 +279,40 @@ class TestEvalAndAblate:
                                          tmp_path, flag):
         out = tmp_path / "eval"
         code = main(["eval", "--dataset", str(dataset_dir / "plain"),
-                     "--config", str(config_file), "--checkpoint", str(teacher_ckpt),
-                     *flag, "--out", str(out)])
+                     "--checkpoint", str(teacher_ckpt), *flag, "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["epochs=7", "measurement=9x9x9", "width=99"])
+    def test_eval_rejects_training_keys_in_config_file(self, dataset_dir, teacher_ckpt,
+                                                       tmp_path, line):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "eval"
+        code = main(["eval", "--dataset", str(dataset_dir / "plain"), "--config", str(cfg),
+                     "--checkpoint", str(teacher_ckpt), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_eval_reads_its_own_keys_from_config_file(self, dataset_dir, teacher_ckpt,
+                                                     tmp_path):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("k=3\n")
+        out = tmp_path / "eval"
+        code = main(["eval", "--dataset", str(dataset_dir / "plain"), "--config", str(cfg),
+                     "--checkpoint", str(teacher_ckpt), "--metric", "knn", "--out", str(out)])
+        assert code == 0
+        assert ",knn3_accuracy," in (out / "report.csv").read_text()
 
     @pytest.mark.parametrize("command", ["eval", "ablate"])
     def test_single_seed_commands_reject_seed_lists(self, dataset_dir, config_file,
                                                     teacher_ckpt, tmp_path, command):
         out = tmp_path / command
         extra = (["--checkpoint", str(teacher_ckpt)] if command == "eval" else
-                 ["--measurement", "3x3x1", "--teacher", str(teacher_ckpt)])
+                 ["--config", str(config_file), "--measurement", "3x3x1",
+                  "--teacher", str(teacher_ckpt)])
         code = main([command, "--dataset", str(dataset_dir / "plain"),
-                     "--config", str(config_file), "--seed", "0,1", *extra,
-                     "--out", str(out)])
+                     "--seed", "0,1", *extra, "--out", str(out)])
         assert code == 2
         assert not out.exists()
 
@@ -288,7 +321,7 @@ class TestEvalAndAblate:
                                           tmp_path, k):
         out = tmp_path / "eval"
         code = main(["eval", "--dataset", str(dataset_dir / "plain"),
-                     "--config", str(config_file), "--checkpoint", str(teacher_ckpt),
+                     "--checkpoint", str(teacher_ckpt),
                      "--metric", "knn", "--k", k, "--out", str(out)])
         assert code == 2
         assert not (out / "report.csv").exists()
@@ -298,7 +331,7 @@ class TestEvalAndAblate:
                                                    teacher_ckpt, tmp_path, k):
         out = tmp_path / "eval"
         code = main(["eval", "--dataset", str(dataset_dir / "plain"),
-                     "--config", str(config_file), "--checkpoint", str(teacher_ckpt),
+                     "--checkpoint", str(teacher_ckpt),
                      "--metric", "knn", "--k", k, "--out", str(out)])
         assert code == 2
         assert not out.exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from mclkit import distill
 from mclkit.checkpoint import content_crc
 from mclkit.distill import copy_stack_params
 from mclkit.errors import ConfigError, ShapeMismatchError, StateError
-from mclkit.layers import LayerStack, ModeProjection
+from mclkit.layers import LayerStack, ModeProjection, _forward_chunks
 from mclkit.models import PriorModel
 from mclkit.optimize import SupervisedObjective, train
 
@@ -204,6 +206,83 @@ class TestStage3:
                             bundle.val_x, bundle.val_y, quick_cfg)
 
 
+def _per_batch_rows(stacks, x, order, batch_size):
+    """Each stack's output rows as train() meets them: one batch at a time."""
+    outs = [None] * len(stacks)
+    for start in range(0, len(x), batch_size):
+        idx = order[start : start + batch_size]
+        h = x[idx]
+        for k, s in enumerate(stacks):
+            h = s.forward(h)
+            if outs[k] is None:
+                outs[k] = np.empty((len(x),) + h.shape[1:], h.dtype)
+            outs[k][idx] = h
+    return outs
+
+
+def _chunked_rows(stacks, x, chunk):
+    outs = []
+    for s in stacks:
+        x = _forward_chunks([s], x, chunk)
+        outs.append(x)
+    return outs
+
+
+class TestPrecomputedTeacherTargets:
+    @pytest.mark.parametrize("signal,meas,width,classes,n", [
+        ((16, 16, 1), (4, 4, 1), 12, 4, 300),
+        ((16, 16, 1), (4, 4, 1), 8, 4, 300),
+        ((32, 32, 3), (6, 6, 1), 16, 10, 90),
+        ((32, 32, 3), (14, 11, 2), 16, 10, 90),
+    ])
+    def test_chunked_rows_equal_per_batch_rows(self, signal, meas, width, classes, n):
+        # Sensing, sensing + synthesis and the full path, in blocks of the
+        # batch size against shuffled batches with a short last batch
+        # (n % 32 != 0).  At width 8 the decoder's one-channel output conv
+        # rounds differently in blocks of 256 rows.
+        teacher = build_prior(signal, meas, classes, width=width, seed=0)
+        rng = np.random.default_rng(1)
+        x = rng.random((n,) + signal, dtype=np.float32)
+        stacks = [teacher.sensing, teacher.synthesis, teacher.head]
+        chunked = _chunked_rows(stacks, x, 32)
+        for batched, ref, name in zip(_per_batch_rows(stacks, x, rng.permutation(n), 32),
+                                      chunked, ("sensing", "synthesis", "head")):
+            assert np.array_equal(batched, ref), name
+
+    @pytest.mark.parametrize("n_train", [120, 113], ids=["precomputed", "one-row-batch"])
+    def test_pipeline_equals_per_batch_stages(self, bundle, trained_teacher, n_train):
+        # 113 rows in batches of 16 leave a one-row batch, whose teacher rows
+        # round differently, so the targets must then come from each batch.
+        teacher, _ = trained_teacher
+        data = replace(bundle, train_x=bundle.train_x[:n_train],
+                       train_y=bundle.train_y[:n_train])
+        cfg = TrainConfig(epochs=2, lr_switch_epochs=(), lr_values=(1e-3,),
+                          batch_size=16, seed=4)
+        targets = distill._teacher_targets(teacher, data.train_x, data.train_y,
+                                           data.val_x, cfg, [StageMask()])
+        assert set(targets) == ({"measurements", "features", "labeled_logits"}
+                                if n_train == 120 else set())
+        a = _student(seed=19)
+        result = train_mclwp(a, teacher, data, cfg, StageMask())
+        b = _student(seed=19)
+        expected = [
+            stage1_transfer(b, teacher, data.train_x, data.val_x, cfg),
+            stage2_transfer(b, teacher, data.train_x, data.val_x, cfg),
+            stage3_transfer(b, teacher, data.train_x, data.train_y,
+                            data.val_x, data.val_y, cfg),
+        ]
+        assert [h.rows for h in result.stages.values()] == [h.rows for h in expected]
+        for pa, pb in zip(a.all_params(), b.all_params()):
+            assert np.array_equal(pa.value, pb.value)
+
+    def test_nothing_precomputed_under_augmentation(self, bundle, trained_teacher):
+        teacher, _ = trained_teacher
+        for aug in ({"flip": True}, {"shift_fraction": 0.25}):
+            cfg = TrainConfig(batch_size=16, **aug)
+            assert distill._teacher_targets(teacher, bundle.train_x, bundle.train_y,
+                                            bundle.val_x, cfg, [StageMask()]) == {}
+
+
 class TestMclwpPipeline:
     def test_mask_all_false_equals_plain_training_bitwise(self, bundle, trained_teacher):
         teacher, _ = trained_teacher
@@ -228,13 +307,13 @@ class TestMclwpPipeline:
 
     def test_teacher_change_during_a_stage_raises(self, bundle, quick_cfg, monkeypatch):
         teacher = build_prior(SIGNAL, MEAS, 3, width=8, seed=0)
-        real_stage1 = distill.stage1_transfer
+        real_stage1 = distill._stage1
 
         def stage1_that_touches_the_teacher(student, teacher, *args):
             teacher.head.params[0].value[...] += 1
             return real_stage1(student, teacher, *args)
 
-        monkeypatch.setattr(distill, "stage1_transfer", stage1_that_touches_the_teacher)
+        monkeypatch.setattr(distill, "_stage1", stage1_that_touches_the_teacher)
         with pytest.raises(StateError, match="teacher parameter"):
             train_mclwp(_student(seed=10), teacher, bundle, quick_cfg, StageMask())
 
@@ -373,7 +452,7 @@ class TestSemiSupervised:
                                                              quick_cfg, monkeypatch):
         teacher, _ = trained_teacher
         seen = []
-        for name in ("stage1_transfer", "stage2_transfer", "stage3_transfer"):
+        for name in ("_stage1", "_stage2", "_stage3"):
             def record(student, teacher, *args, _real=getattr(distill, name)):
                 seen.append(args)
                 return _real(student, teacher, *args)

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from mclkit import (
+    StageMask,
     TrainConfig,
     build_mcl,
+    build_prior,
     compare_prior_effect,
     knn_compressive,
     run_ablation,
     synth_dataset,
     tensor,
+    train_mclwp,
+    train_prior_supervised,
 )
 from mclkit.errors import ConfigError
 from mclkit.evaluate import accuracy
@@ -149,6 +153,27 @@ class TestAblation:
         assert ablated.stages["inference"].rows == history.rows
         for pa, pb in zip(ablated.model.all_params(), plain.all_params()):
             assert np.array_equal(pa.value, pb.value)
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["plain", "flip"])
+    def test_every_mask_equals_an_independent_run(self, bundle, flip):
+        # Shared stage prefixes and, without augmentation, teacher outputs
+        # computed once must not change a single bit of any mask's run.
+        cfg = TrainConfig(epochs=2, lr_switch_epochs=(), lr_values=(1e-3,),
+                          batch_size=16, seed=6, flip=flip)
+        teacher = build_prior(SIGNAL, (3, 3, 1), 3, width=4, seed=6)
+        train_prior_supervised(teacher, bundle, cfg)
+        rep = run_ablation(bundle, cfg, (3, 3, 1), teacher=teacher, width=4)
+        for row, mask in zip(rep.rows, StageMask.all_masks()):
+            student = build_mcl(SIGNAL, (3, 3, 1), 3, fs_kind="nonlinear", width=4,
+                                seed=cfg.seed)
+            alone = train_mclwp(student, teacher, bundle, cfg, mask)
+            shared = rep.results[str(mask)]
+            assert row["value"] == accuracy(student, bundle.test_x, bundle.test_y)
+            assert list(shared.stages) == list(alone.stages)
+            for name, history in alone.stages.items():
+                assert shared.stages[name].rows == history.rows, (str(mask), name)
+            for pa, pb in zip(shared.model.all_params(), student.all_params()):
+                assert np.array_equal(pa.value, pb.value), (str(mask), pa.name)
 
     def test_csv_layout_and_determinism(self, report, bundle):
         rep, cfg = report
