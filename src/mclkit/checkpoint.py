@@ -183,6 +183,8 @@ def _apply_records(model, records):
                 f"parameter {p.name!r}: stored shape {stored.shape} does not "
                 f"match model shape {p.value.shape}"
             )
+        if not np.isfinite(stored).all():
+            raise CheckpointFormatError(f"parameter {p.name!r} holds a non-finite value")
         p.value[...] = stored.astype(p.value.dtype)
     extra = set(records) - {"__meta__"} - {p.name for p in model.all_params()}
     if extra:

@@ -192,7 +192,7 @@ class ReLU(Layer):
 
 
 class MaxPool2(Layer):
-    """2x2 max pooling with stride 2; odd trailing rows/columns are dropped."""
+    """2x2 max pooling, stride 2; odd edges drop out and a tie goes to the first maximum."""
 
     kind = "maxpool2"
 
@@ -201,29 +201,28 @@ class MaxPool2(Layer):
             raise ShapeMismatchError(f"maxpool2 expects (H, W, C), got {in_shape}")
         return (in_shape[0] // 2, in_shape[1] // 2, in_shape[2])
 
+    @staticmethod
+    def _views(a):
+        h, w = a.shape[1] // 2 * 2, a.shape[2] // 2 * 2
+        return [a[:, i:h:2, j:w:2] for i in (0, 1) for j in (0, 1)]
+
     def forward(self, x, training=False):
-        b, h, w, c = x.shape
-        h2, w2 = h // 2, w // 2
-        xc = x[:, : h2 * 2, : w2 * 2, :]
-        tiles = xc.reshape(b, h2, 2, w2, 2, c).transpose(0, 1, 3, 5, 2, 4).reshape(
-            b, h2, w2, c, 4
-        )
-        idx = tiles.argmax(axis=4)
-        out = np.take_along_axis(tiles, idx[..., None], axis=4)[..., 0]
+        out, *rest = self._views(x)
+        first = np.zeros(out.shape, dtype=np.uint8)  # which view held the maximum
+        for k, t in enumerate(rest, 1):
+            later = t > out  # strict, so a tie keeps the first maximum
+            out = np.where(later, t, out)
+            if training:
+                first = np.where(later, np.uint8(k), first)
         if training:
-            self._cache = (x.shape, idx)
+            self._cache = (x.shape, first)
         return out
 
     def backward(self, grad):
-        (b, h, w, c), idx = self._take_cache()
-        h2, w2 = h // 2, w // 2
-        tiles = np.zeros((b, h2, w2, c, 4), dtype=grad.dtype)
-        np.put_along_axis(tiles, idx[..., None], grad[..., None], axis=4)
-        gx = tiles.reshape(b, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(
-            b, h2 * 2, w2 * 2, c
-        )
-        if (h2 * 2, w2 * 2) != (h, w):
-            gx = np.pad(gx, ((0, 0), (0, h - h2 * 2), (0, w - w2 * 2), (0, 0)))
+        shape, first = self._take_cache()
+        gx = np.zeros(shape, dtype=grad.dtype)
+        for k, view in enumerate(self._views(gx)):
+            view[...] = np.where(first == k, grad, 0)
         return gx
 
 

@@ -58,10 +58,9 @@ class TrainConfig:
     self_label_round_cap: int = 50
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for name in ("epochs", "batch_size", "epochs_per_round", "self_label_round_cap"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if len(self.lr_values) != len(self.lr_switch_epochs) + 1:
             raise ConfigError("need one more lr value than switch epochs")
         switches = tuple(self.lr_switch_epochs)
@@ -78,8 +77,6 @@ class TrainConfig:
             raise ConfigError("distill_weight must be finite and >= 0")
         if not 0 < self.confidence_threshold < 1:
             raise ConfigError("confidence_threshold must lie in (0, 1)")
-        if self.epochs_per_round < 1:
-            raise ConfigError("epochs_per_round must be >= 1")
         if not 0 <= self.shift_fraction < 1:
             raise ConfigError("shift_fraction must lie in [0, 1)")
 

@@ -179,3 +179,16 @@ def test_failed_serialisation_leaves_no_file(tmp_path, model, monkeypatch):
     with pytest.raises(RuntimeError, match="serialisation failed"):
         checkpoint.save_checkpoint(model, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_parameter_is_format_error(tmp_path, model, bad):
+    params = model.all_params()
+    path = tmp_path / "m.mclk"
+    params[2].value.flat[-1] = bad
+    checkpoint.save_checkpoint(model, path)
+    match = f"parameter '{re.escape(params[2].name)}' holds a non-finite value"
+    with pytest.raises(CheckpointFormatError, match=match):
+        checkpoint.load_checkpoint(path)
+    with pytest.raises(CheckpointFormatError, match=match):
+        checkpoint.restore_parameters(model, path)

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import mclkit
-from mclkit import TrainConfig, save_dataset, split_semisup, synth_dataset
+from mclkit import TrainConfig, build_mcl, save_dataset, split_semisup, synth_dataset
+from mclkit.checkpoint import save_checkpoint
 from mclkit.cli import main, read_config_file
 from mclkit.errors import ConfigError
 
@@ -325,6 +326,20 @@ class TestEvalAndAblate:
                      "--metric", "knn", "--k", k, "--out", str(out)])
         assert code == 2
         assert not (out / "report.csv").exists()
+
+    def test_eval_non_finite_checkpoint_exits_2(self, dataset_dir, tmp_path, capsys):
+        student = build_mcl((8, 8, 1), (3, 3, 1), 3, fs_kind="multilinear", width=4, seed=0)
+        student.all_params()[0].value[0, 0] = float("nan")
+        ckpt = tmp_path / "student.mclk"
+        save_checkpoint(student, ckpt)
+        out = tmp_path / "eval"
+        code = main(["eval", "--dataset", str(dataset_dir / "plain"),
+                     "--checkpoint", str(ckpt), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mclkit: parameter 'sensing.0.f0' holds a non-finite value")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("k", ["0", "999"])
     def test_eval_failure_leaves_no_out_directory(self, dataset_dir, config_file,

@@ -162,6 +162,53 @@ def test_maxpool_odd_dims_drop_edge():
     assert np.all(gin[:, 4, :, :] == 0) and np.all(gin[:, :, 4, :] == 0)
 
 
+def _maxpool_reference(x, grad):
+    """Per-tile loops: each tile's first maximum in row-major order gets the gradient."""
+    b, h, w, c = x.shape
+    out = np.empty((b, h // 2, w // 2, c), dtype=x.dtype)
+    gx = np.zeros_like(x)
+    for n, i, j, k in np.ndindex(out.shape):
+        cells = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
+        best = cells[0]
+        for cell in cells[1:]:
+            if x[n, cell[0], cell[1], k] > x[n, best[0], best[1], k]:
+                best = cell
+        out[n, i, j, k] = x[n, best[0], best[1], k]
+        gx[n, best[0], best[1], k] = grad[n, i, j, k]
+    return out, gx
+
+
+def _maxpool_bytes(x, grad):
+    layer = MaxPool2()
+    out = layer.forward(x, training=True)
+    gx = layer.backward(grad)
+    assert out.dtype == x.dtype and gx.dtype == grad.dtype
+    return out.tobytes(), gx.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(32, 32, 16), (16, 16, 12), (31, 31, 5)])
+def test_maxpool_matches_per_tile_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    # Post-ReLU values on a coarse grid, so tiles tie at zero and elsewhere.
+    x = np.maximum(np.round(rng.normal(size=(2, *shape)) * 2) / 2, 0).astype(np.float32)
+    x[0, 0, 0] = -0.0
+    grad = rng.normal(size=(2, shape[0] // 2, shape[1] // 2, shape[2])).astype(np.float32)
+    out, gx = _maxpool_reference(x, grad)
+    assert _maxpool_bytes(x, grad) == (out.tobytes(), gx.tobytes())
+    assert MaxPool2().forward(x).tobytes() == out.tobytes()
+
+
+def test_maxpool_ties_route_to_first_maximum():
+    # Three 2x2 tiles side by side: all equal, a two-way tie, and (-0.0, +0.0).
+    x = np.array([[1.5, 1.5, 0.0, 2.0, -0.0, 0.0],
+                  [1.5, 1.5, 1.0, 2.0, -0.0, 0.0]], dtype=np.float32).reshape(1, 2, 6, 1)
+    grad = np.array([3.0, 5.0, 7.0], dtype=np.float32).reshape(1, 1, 3, 1)
+    out, gx = _maxpool_reference(x, grad)
+    assert out.ravel().tolist() == [1.5, 2.0, 0.0] and np.signbit(out.ravel()[2])
+    assert np.array_equal(gx.reshape(2, 6), [[3, 0, 0, 5, 7, 0], [0, 0, 0, 0, 0, 0]])
+    assert _maxpool_bytes(x, grad) == (out.tobytes(), gx.tobytes())
+
+
 def test_upsample_then_pool_identity_shape():
     stack = LayerStack([Upsample2(), MaxPool2()], (3, 3, 2))
     x = np.random.default_rng(6).normal(size=(2, 3, 3, 2))

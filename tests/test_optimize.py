@@ -53,7 +53,8 @@ class TestTrainConfig:
         for bad in (dict(max_norm=math.nan), dict(max_norm=-1.0),
                     dict(distill_weight=math.nan), dict(distill_weight=math.inf),
                     dict(lr_values=(math.nan, 1e-4, 1e-5)), dict(lr_values=(-1.0, 1e-4, 1e-5)),
-                    dict(lr_values=(1e-3, math.inf, 1e-5)), dict(lr_values=(1e-3, 1e-4, 0.0))):
+                    dict(lr_values=(1e-3, math.inf, 1e-5)), dict(lr_values=(1e-3, 1e-4, 0.0)),
+                    dict(self_label_round_cap=0), dict(self_label_round_cap=-3)):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
 
