@@ -208,9 +208,10 @@ class MaxPool2(Layer):
 
     def forward(self, x, training=False):
         out, *rest = self._views(x)
-        first = np.zeros(out.shape, dtype=np.uint8)  # which view held the maximum
+        first = np.zeros(out.shape, dtype=np.uint8) if training else None  # view of the maximum
         for k, t in enumerate(rest, 1):
-            later = t > out  # strict, so a tie keeps the first maximum
+            # argmax order: t wins if strictly larger, or if it is the tile's first NaN
+            later = ~(t <= out) & (out == out)
             out = np.where(later, t, out)
             if training:
                 first = np.where(later, np.uint8(k), first)

@@ -163,16 +163,14 @@ def test_maxpool_odd_dims_drop_edge():
 
 
 def _maxpool_reference(x, grad):
-    """Per-tile loops: each tile's first maximum in row-major order gets the gradient."""
+    """Per-tile loops: each tile's argmax in row-major order (first maximum, or first NaN)
+    gets the gradient."""
     b, h, w, c = x.shape
     out = np.empty((b, h // 2, w // 2, c), dtype=x.dtype)
     gx = np.zeros_like(x)
     for n, i, j, k in np.ndindex(out.shape):
         cells = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
-        best = cells[0]
-        for cell in cells[1:]:
-            if x[n, cell[0], cell[1], k] > x[n, best[0], best[1], k]:
-                best = cell
+        best = cells[int(np.argmax([x[n, r, s, k] for r, s in cells]))]
         out[n, i, j, k] = x[n, best[0], best[1], k]
         gx[n, best[0], best[1], k] = grad[n, i, j, k]
     return out, gx
@@ -207,6 +205,19 @@ def test_maxpool_ties_route_to_first_maximum():
     assert out.ravel().tolist() == [1.5, 2.0, 0.0] and np.signbit(out.ravel()[2])
     assert np.array_equal(gx.reshape(2, 6), [[3, 0, 0, 5, 7, 0], [0, 0, 0, 0, 0, 0]])
     assert _maxpool_bytes(x, grad) == (out.tobytes(), gx.tobytes())
+
+
+def test_maxpool_first_nan_wins_as_argmax():
+    # Tiles (1, NaN, 0, 2) and (NaN, 1, NaN, 2): the first NaN is pooled and gets the gradient.
+    nan = np.nan
+    x = np.array([[1.0, nan, nan, 1.0],
+                  [0.0, 2.0, nan, 2.0]], dtype=np.float32).reshape(1, 2, 4, 1)
+    grad = np.array([3.0, 5.0], dtype=np.float32).reshape(1, 1, 2, 1)
+    layer = MaxPool2()
+    out = layer.forward(x, training=True)
+    assert np.isnan(out).all()
+    assert np.array_equal(layer.backward(grad).reshape(2, 4), [[0, 3, 5, 0], [0, 0, 0, 0]])
+    assert np.isnan(MaxPool2().forward(x)).all()
 
 
 def test_upsample_then_pool_identity_shape():
