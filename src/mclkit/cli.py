@@ -120,7 +120,7 @@ def _build_parser():
     p.add_argument("--method", required=True,
                    choices=["mcl", "mclwop", "mclwp", "mclwp-s"])
     p.add_argument("--teacher", help="teacher checkpoint (mclwp / mclwp-s)")
-    p.add_argument("--mask", default="111", help="stage mask, e.g. 110")
+    p.add_argument("--mask", help="stage mask for mclwp / mclwp-s, e.g. 110 (default 111)")
     p.set_defaults(run=_cmd_train_student)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -168,6 +168,8 @@ def _parse_seeds(text) -> list[int]:
         raise ConfigError(f"cannot parse seed list {text!r}")
     if not seeds:
         raise ConfigError("at least one seed is required")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {text!r}")
     return seeds
 
 
@@ -180,8 +182,13 @@ def _validate_run(args, values, seeds):
     ckpt = getattr(args, "checkpoint", None)
     if ckpt is not None and not Path(ckpt).is_file():
         raise ConfigError(f"checkpoint {ckpt} does not exist")
-    if getattr(args, "method", None) in ("mclwp", "mclwp-s") and teacher is None:
-        raise ConfigError(f"method {args.method} requires --teacher")
+    method = getattr(args, "method", None)
+    if method in ("mclwp", "mclwp-s") and teacher is None:
+        raise ConfigError(f"method {method} requires --teacher")
+    if method in ("mcl", "mclwop"):
+        for flag, value in (("--teacher", teacher), ("--mask", args.mask)):
+            if value is not None:
+                raise ConfigError(f"method {method} takes no {flag}")
     if args.command in ("eval", "ablate") and len(seeds) > 1:
         raise ConfigError(f"{args.command} takes one seed, got {args.seed!r}")
     if args.command != "eval" and "measurement" not in values:
@@ -242,7 +249,6 @@ def _cmd_train_prior(args, values, seeds, semisup):
 
 
 def _cmd_train_student(args, values, seeds):
-    mask = StageMask.parse(args.mask)
     method = args.method
     fs_kind = "multilinear" if method == "mcl" else "nonlinear"
 
@@ -250,9 +256,12 @@ def _cmd_train_student(args, values, seeds):
         return build_mcl(bundle.signal_shape, values["measurement"], bundle.n_classes,
                          fs_kind=fs_kind, seed=seed, **_model_settings(values))
 
+    extra = {"model": method}
     if method in ("mcl", "mclwop"):
         fit = train_mcl_baseline if method == "mcl" else train_mclwop
     else:
+        mask = StageMask.parse(args.mask or "111")
+        extra["mask"] = str(mask)
         # The teacher is frozen and checked unchanged by every run, so one
         # load serves every seed.
         teacher = checkpoint.load_checkpoint(args.teacher)
@@ -261,7 +270,7 @@ def _cmd_train_student(args, values, seeds):
         def fit(student, bundle, cfg):
             return transfer(student, teacher, bundle, cfg, mask)
 
-    return _run_training(args, values, seeds, build, fit, {"model": method, "mask": str(mask)})
+    return _run_training(args, values, seeds, build, fit, extra)
 
 
 def _cmd_eval(args, values, seeds):

@@ -204,6 +204,9 @@ def load_dataset(directory) -> DatasetBundle:
         train_x, train_y = train_x[keep], train_y[keep]
     if (test_y < 0).any():
         raise DatasetLabelError(f"{test_path}: test rows must be labeled")
+    for split, rows in (("validation", val_x), ("test", test_x)):
+        if len(rows) == 0:
+            raise DatasetFormatError(f"{directory}: the {split} split is empty")
     return DatasetBundle(train_x, train_y, val_x, val_y, test_x, test_y,
                          n_classes, unlabeled_x)
 

@@ -134,19 +134,26 @@ def _check_measurement_match(student, teacher):
 # Teacher training
 # --------------------------------------------------------------------------
 
+def _pretrain_prior(prior, bundle, recon_x, cfg) -> dict[str, TrainHistory]:
+    """The teacher's first two procedures: the head on the labeled raw
+    signals, then the encoder/decoder as an l1 autoencoder on ``recon_x``."""
+    return {
+        "head_pretrain": train(
+            SupervisedObjective([prior.head]),
+            bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
+        ),
+        "reconstruction": train(
+            OutputMatchingObjective([prior.sensing, prior.synthesis]),
+            recon_x, None, bundle.val_x, None, cfg,
+        ),
+    }
+
+
 def train_prior_supervised(prior: PriorModel, bundle: DatasetBundle,
                            cfg: TrainConfig) -> PipelineResult:
     """Train the teacher on labeled data: head on raw signals, then the
     encoder/decoder as an l1 autoencoder, then all three parts jointly."""
-    stages: dict[str, TrainHistory] = {}
-    stages["head_pretrain"] = train(
-        SupervisedObjective([prior.head]),
-        bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-    )
-    stages["reconstruction"] = train(
-        OutputMatchingObjective([prior.sensing, prior.synthesis]),
-        bundle.train_x, None, bundle.val_x, None, cfg,
-    )
+    stages = _pretrain_prior(prior, bundle, bundle.train_x, cfg)
     stages["joint"] = train(
         SupervisedObjective([prior.sensing, prior.synthesis, prior.head]),
         bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
@@ -183,17 +190,9 @@ def train_prior_semisup(prior: PriorModel, bundle: DatasetBundle,
         raise ConfigError("semi-supervised training needs a labeled set")
     pool = bundle.unlabeled_x
     total = len(bundle.train_x) + len(pool)
-    stages: dict[str, TrainHistory] = {}
     info: dict = {"kind": "prior_semisup", "rounds": []}
-    stages["head_pretrain"] = train(
-        SupervisedObjective([prior.head]),
-        bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-    )
     all_x = np.concatenate([bundle.train_x, pool]) if len(pool) else bundle.train_x
-    stages["reconstruction"] = train(
-        OutputMatchingObjective([prior.sensing, prior.synthesis]),
-        all_x, None, bundle.val_x, None, cfg,
-    )
+    stages = _pretrain_prior(prior, bundle, all_x, cfg)
     labeled_x = bundle.train_x
     labeled_y = bundle.train_y
     rounds = 0
@@ -247,21 +246,10 @@ def train_prior_semisup(prior: PriorModel, bundle: DatasetBundle,
 # Knowledge-transfer stages
 # --------------------------------------------------------------------------
 
-_PER_BATCH = (None, None)  # no precomputed (training, validation) targets
-
-
 def stage1_transfer(student: MclModel, teacher, x, val_x, cfg: TrainConfig) -> TrainHistory:
     """Fit the student's separable sensing to the teacher's measurements
     (mean-absolute gap); only the sensing factors update."""
-    return _stage1(student, teacher, x, val_x, cfg)
-
-
-def _stage1(student, teacher, x, val_x, cfg, targets=_PER_BATCH):
-    _check_measurement_match(student, teacher)
-    return train(
-        OutputMatchingObjective([student.sensing], [teacher.sensing]),
-        x, targets[0], val_x, targets[1], cfg,
-    )
+    return _match(student, teacher, 1, x, val_x, cfg)
 
 
 def stage2_transfer(student: MclModel, teacher, x, val_x, cfg: TrainConfig) -> TrainHistory:
@@ -271,17 +259,20 @@ def stage2_transfer(student: MclModel, teacher, x, val_x, cfg: TrainConfig) -> T
     first initialised from the teacher's; otherwise the student keeps its own
     initialisation.
     """
-    return _stage2(student, teacher, x, val_x, cfg)
+    return _match(student, teacher, 2, x, val_x, cfg)
 
 
-def _stage2(student, teacher, x, val_x, cfg, targets=_PER_BATCH):
+def _match(student, teacher, depth, x, val_x, cfg, targets=(None, None)):
+    """Fit the student's first ``depth`` stacks to the teacher's first
+    ``depth`` by the mean-absolute gap of their outputs.  ``targets`` are
+    the teacher's (training, validation) rows when computed beforehand;
+    None runs the teacher on each batch."""
     _check_measurement_match(student, teacher)
-    copy_stack_params(teacher.synthesis, student.synthesis)
+    if depth == 2:
+        copy_stack_params(teacher.synthesis, student.synthesis)
     return train(
-        OutputMatchingObjective(
-            [student.sensing, student.synthesis],
-            [teacher.sensing, teacher.synthesis],
-        ),
+        OutputMatchingObjective([*student.stacks().values()][:depth],
+                                [*teacher.stacks().values()][:depth]),
         x, targets[0], val_x, targets[1], cfg,
     )
 
@@ -300,56 +291,40 @@ def _stage3(student, teacher, x, y, val_x, val_y, cfg, labeled_logits=None):
             f"class counts differ: student {student.n_classes}, teacher {teacher.n_classes}"
         )
     copy_stack_params(teacher.head, student.head)
-    objective = SupervisedObjective(
-        [student.sensing, student.synthesis, student.head],
-        [teacher.sensing, teacher.synthesis, teacher.head],
-        cfg.distill_weight,
+    return train(
+        SupervisedObjective([*student.stacks().values()], [*teacher.stacks().values()],
+                            cfg.distill_weight),
+        x, y if labeled_logits is None else labeled_logits, val_x, val_y, cfg,
     )
-    return train(objective, x, y if labeled_logits is None else labeled_logits,
-                 val_x, val_y, cfg)
 
 
-def _teacher_targets(teacher, x, y, val_x, cfg, masks) -> dict:
-    """The frozen teacher's outputs that the stages of ``masks`` match,
-    computed once: ``measurements`` and ``features`` as (training rows,
-    validation rows), and ``labeled_logits``, the labels packed with the
-    teacher's logits, for the teacher pull.
+def _teacher_targets(teacher, x, val_x, cfg, depth) -> list:
+    """The frozen teacher's (training rows, validation rows) after each of
+    its first ``depth`` stacks (sensing, synthesis, head), computed once.
 
     BLAS may round a row differently at another row count, so the training
     rows run in blocks of the batch size, as train() runs them, and the
-    validation rows in the chunks that the validation metric uses.  The tests
-    check that each row then equals the per-batch teacher's bit for bit.
-    Empty when a batch can differ from its precomputed rows: augmented
-    batches need the teacher on their own rows, and a one-row batch takes
-    numpy's matrix-vector product instead of the matrix product.
+    validation rows in the chunks of the validation metric; the tests check
+    each row against the per-batch teacher's bit for bit.  Training rows are
+    None when a batch can differ from them: augmented batches need the
+    teacher on their own rows, and a one-row batch takes numpy's
+    matrix-vector product.  No validation metric reads the head's rows.
     """
-    n, b = len(x), cfg.batch_size
-    sensing = any(m.sensing for m in masks)
-    synthesis = any(m.synthesis for m in masks)
-    pull = cfg.distill_weight != 0 and any(m.distill for m in masks)
-    augmented = cfg.flip or cfg.shift_fraction > 0
-    if augmented or (n % b or b) < 2 or not (sensing or synthesis or pull):
-        return {}
-    meas = _forward_chunks([teacher.sensing], x, b)
-    val_meas = _forward_chunks([teacher.sensing], val_x)
-    targets = {"measurements": (meas, val_meas)}
-    feats = None
-    if synthesis:
-        feats = _forward_chunks([teacher.synthesis], meas, b)
-        targets["features"] = (feats, _forward_chunks([teacher.synthesis], val_meas))
-    if pull:
-        logits = (_forward_chunks([teacher.head], feats, b) if feats is not None
-                  else _forward_chunks([teacher.synthesis, teacher.head], meas, b))
-        labeled = np.empty(n, dtype=[("label", y.dtype),
-                                     ("teacher_logits", logits.dtype, logits.shape[1:])])
-        labeled["label"], labeled["teacher_logits"] = y, logits
-        targets["labeled_logits"] = labeled
+    b = cfg.batch_size
+    fixed = not (cfg.flip or cfg.shift_fraction > 0) and (len(x) % b or b) > 1
+    rows, val_rows = (x if fixed else None), val_x
+    targets = []
+    for k, stack in enumerate([*teacher.stacks().values()][:depth]):
+        if fixed:
+            rows = _forward_chunks([stack], rows, b)
+        val_rows = _forward_chunks([stack], val_rows) if k < 2 else None
+        targets.append((rows, val_rows))
     return targets
 
 
 def _train_prefixes(students, masks, teacher, x, val_x, cfg, targets):
-    """Run each mask's matching stages (1 and 2, as set) on its student and
-    return each student's stage histories.
+    """Run each mask's matching stages (depth 1 and 2, as set) on its student
+    and return each student's stage histories.
 
     Masks whose stage flags start alike share that prefix: it runs once, and
     the parameters it leaves are copied into each later student that starts
@@ -360,18 +335,16 @@ def _train_prefixes(students, masks, teacher, x, val_x, cfg, targets):
     histories = []
     for mask, student in zip(masks, students):
         stages = {}
-        for flags, name, run, target in (
-            ((mask.sensing,), "sensing_transfer", _stage1, "measurements"),
-            ((mask.sensing, mask.synthesis), "synthesis_transfer", _stage2, "features"),
-        ):
+        for depth, name in enumerate(("sensing_transfer", "synthesis_transfer"), 1):
+            flags = (mask.sensing, mask.synthesis)[:depth]
             if flags in reached:
                 values, stages = reached[flags]
                 for p, v in zip(student.all_params(), values):
                     p.value[...] = v
                 continue
             if flags[-1]:
-                stages = {**stages, name: run(student, teacher, x, val_x, cfg,
-                                              targets.get(target, _PER_BATCH))}
+                stages = {**stages, name: _match(student, teacher, depth, x, val_x, cfg,
+                                                 targets[depth - 1])}
             reached[flags] = ([p.value.copy() for p in student.all_params()], stages)
         histories.append(stages)
     return histories
@@ -394,20 +367,25 @@ def _transfer(students, masks, teacher, bundle, cfg, pool_x=()):
         x = np.concatenate([x, pool_x])
         y = np.concatenate([y, pool_y])
     val_x, val_y = bundle.val_x, bundle.val_y
-    targets = _teacher_targets(teacher, x, y, val_x, cfg, masks)
+    pull = cfg.distill_weight != 0 and any(m.distill for m in masks)
+    depth = 3 if pull else max(2 if m.synthesis else int(m.sensing) for m in masks)
+    targets = _teacher_targets(teacher, x, val_x, cfg, depth)
     prefix_stages = _train_prefixes(students, masks, teacher, x, val_x, cfg, targets)
-    targets.pop("features", None)  # the largest target; no final stage reads it
+    logits = targets[2][0] if pull else None
+    del targets  # the features are the largest rows; no final stage reads them
+    labeled = None  # the labels packed with the teacher's logits, for the pull
+    if logits is not None:
+        labeled = np.empty(len(y), dtype=[("label", y.dtype),
+                                          ("teacher_logits", logits.dtype, logits.shape[1:])])
+        labeled["label"], labeled["teacher_logits"] = y, logits
     for mask, student, stages in zip(masks, students, prefix_stages):
         if mask.distill:
-            final = _stage3(student, teacher, x, y, val_x, val_y, cfg,
-                            targets.get("labeled_logits"))
+            final = _stage3(student, teacher, x, y, val_x, val_y, cfg, labeled)
         else:
             # Only the teacher-prediction pull is dropped; plain inference
             # training still runs, from whatever the earlier stages left behind.
-            final = train(
-                SupervisedObjective([student.sensing, student.synthesis, student.head]),
-                x, y, val_x, val_y, cfg,
-            )
+            final = train(SupervisedObjective([*student.stacks().values()]),
+                          x, y, val_x, val_y, cfg)
         for p, before in zip(teacher.all_params(), teacher_before):
             if not np.array_equal(p.value, before):
                 raise StateError(f"teacher parameter {p.name} changed during knowledge transfer")

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ConfigError("confidence_threshold must lie in (0, 1)")
         if not 0 <= self.shift_fraction < 1:
             raise ConfigError("shift_fraction must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def full_schedule(cls, **overrides) -> "TrainConfig":
@@ -312,8 +314,9 @@ def train(objective: Objective, train_x, train_y, val_x, val_y, cfg: TrainConfig
     is an optional hook called after each epoch's validation pass.
     """
     n = len(train_x)
-    if n == 0:
-        raise ConfigError("training data is empty")
+    for what, data in (("training", train_x), ("validation", val_x)):
+        if len(data) == 0:
+            raise ConfigError(f"{what} data is empty")
     rng = np.random.default_rng(cfg.seed)
     params = [p for s in objective.trainable for p in s.params]
     adam = AdamState(params)

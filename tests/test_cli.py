@@ -1,14 +1,17 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mclkit
 from mclkit import TrainConfig, build_mcl, save_dataset, split_semisup, synth_dataset
+from mclkit.datasets import write_split
 from mclkit.checkpoint import save_checkpoint
 from mclkit.cli import main, read_config_file
 from mclkit.errors import ConfigError
@@ -64,12 +67,29 @@ class TestValidation:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
-    def test_bad_mask_exits_2(self, dataset_dir, tmp_path, config_file):
-        code = main(["train-student", "--method", "mcl", "--mask", "abc",
+    def test_bad_mask_exits_2(self, dataset_dir, tmp_path, config_file, teacher_ckpt, capsys):
+        code = main(["train-student", "--method", "mclwp", "--mask", "abc",
                      "--dataset", str(dataset_dir / "plain"),
                      "--config", str(config_file), "--measurement", "3x3x1",
-                     "--out", str(tmp_path / "out")])
+                     "--teacher", str(teacher_ckpt), "--out", str(tmp_path / "out")])
         assert code == 2
+        assert "mask must be three 0/1 characters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["mcl", "mclwop"])
+    @pytest.mark.parametrize("flags", [["--mask", "010"], ["--teacher", None],
+                                       ["--mask", "010", "--teacher", None]],
+                             ids=["mask", "teacher", "both"])
+    def test_unused_student_flags_exit_2(self, dataset_dir, config_file, teacher_ckpt,
+                                         tmp_path, capsys, method, flags):
+        flags = [str(teacher_ckpt) if f is None else f for f in flags]
+        out = tmp_path / "out"
+        code = main(["train-student", "--method", method, *flags,
+                     "--dataset", str(dataset_dir / "plain"),
+                     "--config", str(config_file), "--measurement", "3x3x1",
+                     "--out", str(out)])
+        assert code == 2
+        assert f"method {method} takes no --" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_measurement_exits_2(self, dataset_dir, tmp_path, config_file):
         code = main(["train-prior", "--dataset", str(dataset_dir / "plain"),
@@ -81,6 +101,32 @@ class TestValidation:
                      "--config", str(config_file), "--measurement", "3x3x1",
                      "--seed", "zero", "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("command,seed", [("train-prior", "-1"), ("train-prior", "0,-2"),
+                                              ("ablate", "-1")])
+    def test_negative_seed_exits_2(self, dataset_dir, tmp_path, config_file, capsys,
+                                   command, seed):
+        out = tmp_path / "out"
+        code = main([command, "--dataset", str(dataset_dir / "plain"),
+                     "--config", str(config_file), "--measurement", "3x3x1",
+                     f"--seed={seed}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mclkit: seeds must be >= 0") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_empty_split_exits_2_before_training(self, dataset_dir, tmp_path, config_file,
+                                                 split):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir / "plain", data)
+        write_split(data / f"{split}.mcld", np.zeros((0, 8, 8, 1), np.float32),
+                    np.zeros(0, np.int64))
+        out = tmp_path / "out"
+        code = main(["train-prior", "--dataset", str(data), "--config", str(config_file),
+                     "--measurement", "3x3x1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_config_file_rejects_unknown_keys(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -186,6 +232,7 @@ class TestTrainCommands:
                      "--out", str(out)])
         assert code == 0
         assert (out / "checkpoint.mclk").exists()
+        assert "mask" not in json.loads((out / "manifest.json").read_text())
 
     def test_semisup_commands(self, dataset_dir, config_file, tmp_path):
         prior_out = tmp_path / "prior_s"
@@ -200,6 +247,7 @@ class TestTrainCommands:
                      "--teacher", str(prior_out / "checkpoint.mclk"),
                      "--out", str(out)])
         assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["mask"] == "111"
 
     def test_config_file_sets_every_train_setting(self, dataset_dir, tmp_path):
         settings = {

@@ -210,6 +210,14 @@ class TestBundleIO:
         with pytest.raises(DatasetFormatError):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("split,name", [("val", "validation"), ("test", "test")])
+    def test_empty_split_rejected(self, tmp_path, split, name):
+        bundle = synth_dataset(1, (8, 8, 1), 3, n_per_class=10, noise=0.02)
+        save_dataset(bundle, tmp_path)
+        write_split(tmp_path / f"{split}.mcld", bundle.test_x[:0], bundle.test_y[:0])
+        with pytest.raises(DatasetFormatError, match=f"the {name} split is empty"):
+            load_dataset(tmp_path)
+
 
 def test_no_pool_is_an_empty_array(tmp_path):
     bundle = synth_dataset(0, (6, 6, 1), 3, n_per_class=10, noise=0.02)

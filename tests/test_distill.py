@@ -249,19 +249,22 @@ class TestPrecomputedTeacherTargets:
                                       chunked, ("sensing", "synthesis", "head")):
             assert np.array_equal(batched, ref), name
 
-    @pytest.mark.parametrize("n_train", [120, 113], ids=["precomputed", "one-row-batch"])
-    def test_pipeline_equals_per_batch_stages(self, bundle, trained_teacher, n_train):
+    @pytest.mark.parametrize("n_train,flip", [(120, False), (113, False), (120, True)],
+                             ids=["precomputed", "one-row-batch", "flip"])
+    def test_pipeline_equals_per_batch_stages(self, bundle, trained_teacher, n_train, flip):
         # 113 rows in batches of 16 leave a one-row batch, whose teacher rows
-        # round differently, so the targets must then come from each batch.
+        # round differently, and flipped batches need the teacher on their own
+        # rows, so the training targets must then come from each batch.  The
+        # validation targets are computed once either way.
         teacher, _ = trained_teacher
         data = replace(bundle, train_x=bundle.train_x[:n_train],
                        train_y=bundle.train_y[:n_train])
         cfg = TrainConfig(epochs=2, lr_switch_epochs=(), lr_values=(1e-3,),
-                          batch_size=16, seed=4)
-        targets = distill._teacher_targets(teacher, data.train_x, data.train_y,
-                                           data.val_x, cfg, [StageMask()])
-        assert set(targets) == ({"measurements", "features", "labeled_logits"}
-                                if n_train == 120 else set())
+                          batch_size=16, seed=4, flip=flip)
+        targets = distill._teacher_targets(teacher, data.train_x, data.val_x, cfg, 3)
+        precomputed = n_train == 120 and not flip
+        assert [rows is not None for rows, _ in targets] == [precomputed] * 3
+        assert [val is not None for _, val in targets] == [True, True, False]
         a = _student(seed=19)
         result = train_mclwp(a, teacher, data, cfg, StageMask())
         b = _student(seed=19)
@@ -275,12 +278,16 @@ class TestPrecomputedTeacherTargets:
         for pa, pb in zip(a.all_params(), b.all_params()):
             assert np.array_equal(pa.value, pb.value)
 
-    def test_nothing_precomputed_under_augmentation(self, bundle, trained_teacher):
+    def test_only_validation_rows_under_augmentation(self, bundle, trained_teacher):
         teacher, _ = trained_teacher
+        val_rows = _chunked_rows([teacher.sensing, teacher.synthesis], bundle.val_x, 256)
         for aug in ({"flip": True}, {"shift_fraction": 0.25}):
             cfg = TrainConfig(batch_size=16, **aug)
-            assert distill._teacher_targets(teacher, bundle.train_x, bundle.train_y,
-                                            bundle.val_x, cfg, [StageMask()]) == {}
+            targets = distill._teacher_targets(teacher, bundle.train_x, bundle.val_x, cfg, 3)
+            assert [rows for rows, _ in targets] == [None] * 3
+            assert targets[2][1] is None
+            for (_, val), ref in zip(targets, val_rows):
+                assert np.array_equal(val, ref)
 
 
 class TestMclwpPipeline:
@@ -307,13 +314,13 @@ class TestMclwpPipeline:
 
     def test_teacher_change_during_a_stage_raises(self, bundle, quick_cfg, monkeypatch):
         teacher = build_prior(SIGNAL, MEAS, 3, width=8, seed=0)
-        real_stage1 = distill._stage1
+        real_match = distill._match
 
-        def stage1_that_touches_the_teacher(student, teacher, *args):
+        def match_that_touches_the_teacher(student, teacher, *args):
             teacher.head.params[0].value[...] += 1
-            return real_stage1(student, teacher, *args)
+            return real_match(student, teacher, *args)
 
-        monkeypatch.setattr(distill, "_stage1", stage1_that_touches_the_teacher)
+        monkeypatch.setattr(distill, "_match", match_that_touches_the_teacher)
         with pytest.raises(StateError, match="teacher parameter"):
             train_mclwp(_student(seed=10), teacher, bundle, quick_cfg, StageMask())
 
@@ -452,15 +459,17 @@ class TestSemiSupervised:
                                                              quick_cfg, monkeypatch):
         teacher, _ = trained_teacher
         seen = []
-        for name in ("_stage1", "_stage2", "_stage3"):
+        for name in ("_match", "_stage3"):
             def record(student, teacher, *args, _real=getattr(distill, name)):
                 seen.append(args)
                 return _real(student, teacher, *args)
 
             monkeypatch.setattr(distill, name, record)
         train_mclwp_semisup(_student(seed=18), teacher, bundle, quick_cfg, StageMask())
-        assert len(seen) == 3 and all(args[0] is bundle.train_x for args in seen)
-        assert seen[2][1] is bundle.train_y  # stage 3 takes (x, y, ...)
+        # _match takes (depth, x, ...), stage 3 takes (x, y, ...)
+        assert len(seen) == 3 and [args[0] for args in seen[:2]] == [1, 2]
+        assert all(args[1] is bundle.train_x for args in seen[:2])
+        assert seen[2][0] is bundle.train_x and seen[2][1] is bundle.train_y
 
     def test_transfer_stages_see_all_samples(self, trained_teacher):
         teacher, _ = trained_teacher

@@ -54,7 +54,8 @@ class TestTrainConfig:
                     dict(distill_weight=math.nan), dict(distill_weight=math.inf),
                     dict(lr_values=(math.nan, 1e-4, 1e-5)), dict(lr_values=(-1.0, 1e-4, 1e-5)),
                     dict(lr_values=(1e-3, math.inf, 1e-5)), dict(lr_values=(1e-3, 1e-4, 0.0)),
-                    dict(self_label_round_cap=0), dict(self_label_round_cap=-3)):
+                    dict(self_label_round_cap=0), dict(self_label_round_cap=-3),
+                    dict(seed=-1)):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
 
@@ -225,11 +226,12 @@ class TestTrainLoop:
         assert objective.val_metric(x, y) == history.best_value
 
     def test_empty_data_rejected(self):
-        with pytest.raises(ConfigError):
-            train(SupervisedObjective([_toy_stack()]),
-                  np.zeros((0, 6), dtype=np.float32), np.zeros(0, dtype=np.int64),
-                  np.zeros((1, 6), dtype=np.float32), np.zeros(1, dtype=np.int64),
-                  TrainConfig(epochs=1, lr_switch_epochs=(), lr_values=(1e-3,)))
+        for what, n_train, n_val in (("training", 0, 1), ("validation", 1, 0)):
+            with pytest.raises(ConfigError, match=f"{what} data is empty"):
+                train(SupervisedObjective([_toy_stack()]),
+                      np.zeros((n_train, 6), dtype=np.float32), np.zeros(n_train, dtype=np.int64),
+                      np.zeros((n_val, 6), dtype=np.float32), np.zeros(n_val, dtype=np.int64),
+                      TrainConfig(epochs=1, lr_switch_epochs=(), lr_values=(1e-3,)))
 
     def test_divergence_raises_with_diagnostics(self):
         x, y = _toy_problem(20)
