@@ -128,6 +128,8 @@ def loads(data: bytes) -> dict[str, np.ndarray]:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointFormatError(f"record name {raw_name[:32]!r} is not UTF-8") from None
+        if name in records:
+            raise CheckpointFormatError(f"record {name!r} appears twice")
         rank = r.u32()
         if rank > 8:
             raise CheckpointFormatError(f"record {name!r} declares rank {rank}")

@@ -170,6 +170,8 @@ def _parse_seeds(text) -> list[int]:
         raise ConfigError("at least one seed is required")
     if min(seeds) < 0:
         raise ConfigError(f"seeds must be >= 0, got {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seed list {text!r} repeats a seed")
     return seeds
 
 

@@ -189,56 +189,38 @@ def train_prior_semisup(prior: PriorModel, bundle: DatasetBundle,
     if len(bundle.train_x) == 0:
         raise ConfigError("semi-supervised training needs a labeled set")
     pool = bundle.unlabeled_x
-    total = len(bundle.train_x) + len(pool)
     info: dict = {"kind": "prior_semisup", "rounds": []}
     all_x = np.concatenate([bundle.train_x, pool]) if len(pool) else bundle.train_x
+    all_y = np.concatenate([bundle.train_y, np.zeros(len(pool), np.int64)])
     stages = _pretrain_prior(prior, bundle, all_x, cfg)
-    labeled_x = bundle.train_x
-    labeled_y = bundle.train_y
-    rounds = 0
     objective = SupervisedObjective([prior.sensing, prior.synthesis, prior.head])
-    while True:
-        # Rounds are short continuations of one long optimization, so they run
-        # at the schedule's first rate; the staged ladder applies to the
-        # full-length procedures, not to each slice.
-        round_cfg = replace(
-            cfg,
-            epochs=cfg.epochs_per_round,
-            lr_values=(cfg.lr_values[0],),
-            lr_switch_epochs=(),
-            seed=cfg.seed + rounds,
-        )
+    # Rounds are short continuations of one long optimization, so they run at
+    # the schedule's first rate; the staged ladder applies to the full-length
+    # procedures, not to each slice.
+    round_cfg = replace(cfg, epochs=cfg.epochs_per_round, lr_values=(cfg.lr_values[0],),
+                        lr_switch_epochs=())
+    n = len(bundle.train_x)  # all_x[:n] is labeled, in join order; all_x[n:] is the pool
+    for rounds in range(cfg.self_label_round_cap):
         stages[f"round_{rounds}"] = train(
-            objective, labeled_x, labeled_y, bundle.val_x, bundle.val_y, round_cfg,
+            objective, all_x[:n], all_y[:n], bundle.val_x, bundle.val_y,
+            replace(round_cfg, seed=cfg.seed + rounds),
         )
+        pool = all_x[n:]
         idx, labels = self_label_select(prior, pool, cfg.confidence_threshold)
-        info["rounds"].append(
-            {"round": rounds, "labeled": int(len(labeled_x)),
-             "pool": int(len(pool)), "added": int(len(idx))}
-        )
-        rounds += 1
+        info["rounds"].append({"round": rounds, "labeled": n, "pool": len(pool),
+                               "added": len(idx)})
         if len(idx) == 0:
             break
-        labeled_x = np.concatenate([labeled_x, pool[idx]])
-        labeled_y = np.concatenate([labeled_y, labels])
-        keep = np.ones(len(pool), dtype=bool)
-        keep[idx] = False
-        pool = pool[keep]
-        if len(labeled_x) + len(pool) != total or len(labeled_y) != len(labeled_x):
-            raise StateError(
-                f"self-labeling lost track of samples: {len(labeled_x)} labeled "
-                f"with {len(labeled_y)} labels and {len(pool)} in the pool, "
-                f"{total} expected"
-            )
-        if rounds >= cfg.self_label_round_cap:
-            log.warning(
-                "self-labeling stopped at the %d-round cap with %d pool samples left",
-                cfg.self_label_round_cap, len(pool),
-            )
-            info["capped"] = True
-            break
-    info["final_labeled"] = int(len(labeled_x))
-    info["final_pool"] = int(len(pool))
+        # The selected rows move to the front of the pool; both parts keep pool order.
+        pool[...] = pool[np.concatenate([idx, np.delete(np.arange(len(pool)), idx)])]
+        all_y[n:n + len(idx)] = labels
+        n += len(idx)
+    else:
+        log.warning("self-labeling stopped at the %d-round cap with %d pool samples left",
+                    cfg.self_label_round_cap, len(all_x) - n)
+        info["capped"] = True
+    info["final_labeled"] = n
+    info["final_pool"] = len(all_x) - n
     return PipelineResult(prior, stages, info)
 
 

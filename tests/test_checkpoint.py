@@ -170,6 +170,16 @@ def test_restore_names_missing_and_unknown_parameters(tmp_path, model):
         checkpoint.restore_parameters(model, path)
 
 
+def test_repeated_record_is_format_error(tmp_path, model):
+    params = model.all_params()
+    path = tmp_path / "m.mclk"
+    _write_checkpoint(path, _record("__meta__", _META), *(_record(p.name, p.value) for p in params),
+                      _record(params[0].name, params[0].value + 1))
+    with pytest.raises(CheckpointFormatError,
+                       match=f"record '{re.escape(params[0].name)}' appears twice"):
+        checkpoint.load_checkpoint(path)
+
+
 def test_failed_serialisation_leaves_no_file(tmp_path, model, monkeypatch):
     def failing_dumps(m):
         raise RuntimeError("serialisation failed")

@@ -115,6 +115,17 @@ class TestValidation:
         assert err.startswith("mclkit: seeds must be >= 0") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["0,0", "1,2,1"])
+    def test_repeated_seed_exits_2(self, dataset_dir, tmp_path, config_file, capsys, seed):
+        out = tmp_path / "out"
+        code = main(["train-prior", "--dataset", str(dataset_dir / "plain"),
+                     "--config", str(config_file), "--measurement", "3x3x1",
+                     "--seed", seed, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mclkit: seed list '{seed}' repeats a seed")
+        assert not out.exists()
+
     @pytest.mark.parametrize("split", ["val", "test"])
     def test_empty_split_exits_2_before_training(self, dataset_dir, tmp_path, config_file,
                                                  split):

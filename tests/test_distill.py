@@ -433,6 +433,68 @@ class TestSemiSupervised:
         assert result.info["final_labeled"] > n_labeled  # strictly enlarged
         assert rounds[-1]["added"] == 0 or result.info.get("capped")
 
+    @staticmethod
+    def _run_with_selections(bundle, selections, monkeypatch, **cfg_kw):
+        """Run the loop with self_label_select answering ``selections`` in
+        turn (then nothing); return the result, each round's (rows, labels)
+        and the pool each selection saw."""
+        trained, pools, answers = [], [], iter(selections)
+
+        def record_train(objective, x, y, *args, _real=distill.train):
+            trained.append((x.copy(), None if y is None else y.copy()))
+            return _real(objective, x, y, *args)
+
+        def select(teacher, pool_x, threshold):
+            pools.append(pool_x.copy())
+            idx, labels = next(answers, ([], []))
+            return np.asarray(idx, np.int64), np.asarray(labels, np.int64)
+
+        monkeypatch.setattr(distill, "train", record_train)
+        monkeypatch.setattr(distill, "self_label_select", select)
+        cfg = TrainConfig(epochs=1, lr_switch_epochs=(), lr_values=(1e-3,), batch_size=32,
+                          seed=0, epochs_per_round=1, **cfg_kw)
+        result = train_prior_semisup(build_prior(SIGNAL, MEAS, 3, width=4, seed=0), bundle, cfg)
+        return result, trained[2:], pools  # the first two are the pretraining procedures
+
+    def test_rounds_train_on_rows_in_join_order(self, bundle, monkeypatch):
+        semi = split_semisup(bundle, 0.3, seed=0)
+        pool = semi.unlabeled_x
+        selections = [([1, 4, 5], [2, 0, 1]), ([0, len(pool) - 4], [1, 1])]
+        result, trained, pools = self._run_with_selections(semi, selections, monkeypatch)
+        assert [r["added"] for r in result.info["rounds"]] == [3, 2, 0]
+        x, y = semi.train_x, semi.train_y
+        expected_pool = pool
+        assert len(trained) == len(pools) == 3
+        for (rows, labels), seen, (idx, new) in zip(trained, pools, selections + [([], [])]):
+            assert np.array_equal(rows, x) and np.array_equal(labels, y)
+            assert np.array_equal(seen, expected_pool)
+            x = np.concatenate([x, expected_pool[idx]])
+            y = np.concatenate([y, new])
+            expected_pool = np.delete(expected_pool, idx, axis=0)
+        assert result.info["final_labeled"] == len(x)
+        assert result.info["final_pool"] == len(expected_pool)
+
+    def test_bundle_arrays_unchanged(self, bundle, monkeypatch):
+        semi = split_semisup(bundle, 0.3, seed=0)
+        before = [a.copy() for a in (semi.train_x, semi.train_y, semi.unlabeled_x)]
+        result, _, _ = self._run_with_selections(semi, [([2, 3], [0, 2]), ([0], [1])],
+                                                 monkeypatch)
+        assert result.info["final_labeled"] == len(semi.train_x) + 3
+        for after, copy in zip((semi.train_x, semi.train_y, semi.unlabeled_x), before):
+            assert np.array_equal(after, copy)
+
+    def test_round_cap_stops_with_rows_joining(self, bundle, monkeypatch, caplog):
+        semi = split_semisup(bundle, 0.3, seed=0)
+        with caplog.at_level("WARNING", logger="mclkit.distill"):
+            result, trained, _ = self._run_with_selections(
+                semi, [([0, 2], [1, 0])], monkeypatch, self_label_round_cap=1)
+        info = result.info
+        assert len(info["rounds"]) == len(trained) == 1 and info["capped"] is True
+        assert info["final_labeled"] == len(semi.train_x) + 2
+        assert info["final_labeled"] + info["final_pool"] == len(semi.train_x) + semi.n_unlabeled
+        left = info["final_pool"]
+        assert f"stopped at the 1-round cap with {left} pool samples left" in caplog.text
+
     def test_empty_pool_runs_one_round(self, bundle):
         teacher = build_prior(SIGNAL, MEAS, 3, width=4, seed=0)
         cfg = TrainConfig(epochs=2, lr_switch_epochs=(), lr_values=(1e-3,),
