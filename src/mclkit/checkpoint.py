@@ -39,21 +39,21 @@ __all__ = [
 MAGIC = b"MCLK"
 VERSION = 1
 
-_FS_CODES = {"multilinear": 0, "nonlinear": 1}
-_CAP_CODES = {"small": 0, "large": 1}
+# Each name's index is its code in the metadata record.
+_FS_KINDS = ("multilinear", "nonlinear")
+_CAPACITIES = ("small", "large")
 
 
-def _decode(codes, code, what) -> str:
-    for name, c in codes.items():
-        if c == code:
-            return name
-    raise CheckpointFormatError(f"unknown {what} code {code}")
+def _decode(names, code, what) -> str:
+    if code >= len(names):
+        raise CheckpointFormatError(f"unknown {what} code {code}")
+    return names[code]
 
 
 def _meta_array(model) -> np.ndarray:
     kind = 0 if isinstance(model, MclModel) else 1
-    fs = _FS_CODES[model.fs_kind] if isinstance(model, MclModel) else 0
-    cap = _CAP_CODES[model.capacity]
+    fs = _FS_KINDS.index(model.fs_kind) if isinstance(model, MclModel) else 0
+    cap = _CAPACITIES.index(model.capacity)
     h, w, c = model.signal_shape
     m1, m2, m3 = model.measurement.dims
     vals = [kind, fs, cap, model.width, model.n_classes, h, w, c, m1, m2, m3]
@@ -155,8 +155,8 @@ def load_checkpoint(path):
     if not (np.isfinite(meta).all() and (meta >= 0).all() and (meta == np.round(meta)).all()):
         raise CheckpointFormatError(f"__meta__ holds a value that is not a count: {meta.tolist()}")
     kind, fs, cap, width, n_classes, h, w, c, m1, m2, m3 = (int(v) for v in meta)
-    fs_kind = _decode(_FS_CODES, fs, "feature-synthesis")
-    capacity = _decode(_CAP_CODES, cap, "capacity")
+    fs_kind = _decode(_FS_KINDS, fs, "feature-synthesis")
+    capacity = _decode(_CAPACITIES, cap, "capacity")
     measurement = MeasurementConfig((m1, m2, m3))
     if kind == 0:
         model = build_mcl((h, w, c), measurement, n_classes, fs_kind=fs_kind,
@@ -196,13 +196,14 @@ def _apply_records(model, records):
 
 
 def content_crc(model) -> int:
-    """CRC32 of a model's serialized payload (identity check without I/O).
+    """The payload CRC32 that :func:`dumps` appends (identity check without
+    I/O); it equals :func:`checkpoint_crc` of the saved file.
 
     The whole-file CRC would be the same constant for every valid checkpoint
     (a file ending in its own CRC has a fixed residue), so the payload CRC is
     the meaningful fingerprint.
     """
-    return zlib.crc32(dumps(model)[:-4]) & 0xFFFFFFFF
+    return struct.unpack("<I", dumps(model)[-4:])[0]
 
 
 def checkpoint_crc(path) -> int:

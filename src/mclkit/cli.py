@@ -191,6 +191,9 @@ def _validate_run(args, values, seeds):
         for flag, value in (("--teacher", teacher), ("--mask", args.mask)):
             if value is not None:
                 raise ConfigError(f"method {method} takes no {flag}")
+    if args.command == "eval" and args.metric != "knn" and values:
+        # k, and labeled_fraction (it splits the training rows), serve only knn
+        raise ConfigError(f"--metric {args.metric} takes no {' or '.join(sorted(values))}")
     if args.command in ("eval", "ablate") and len(seeds) > 1:
         raise ConfigError(f"{args.command} takes one seed, got {args.seed!r}")
     if args.command != "eval" and "measurement" not in values:

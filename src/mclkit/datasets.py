@@ -170,8 +170,8 @@ def save_dataset(bundle: DatasetBundle, directory) -> None:
 def load_dataset(directory) -> DatasetBundle:
     """Load a dataset directory (train/val/test splits, pooled unlabeled rows).
 
-    A missing ``val.mcld`` is carved from the tail of each class's training
-    samples (about 10%, at least one per class, fixed rule).
+    A missing ``val.mcld`` is carved from the training file: the last
+    ``max(1, n_c // 10)`` of each class's ``n_c`` labeled rows, in file order.
     """
     directory = Path(directory)
     train_path = directory / "train.mcld"
@@ -180,35 +180,28 @@ def load_dataset(directory) -> DatasetBundle:
         raise DatasetFormatError(
             f"{directory}: expected train.mcld and test.mcld"
         )
-    train_x, train_y, n_classes = read_split(train_path)
+    x, y, n_classes = read_split(train_path)
     test_x, test_y, test_classes = read_split(test_path)
     n_classes = max(n_classes, test_classes)
-    unlabeled = train_y < 0
-    unlabeled_x = train_x[unlabeled]
-    train_x, train_y = train_x[~unlabeled], train_y[~unlabeled]
+    val = np.zeros(len(y), dtype=bool)  # training rows carved into the validation set
     val_path = directory / "val.mcld"
     if val_path.exists():
         val_x, val_y, _ = read_split(val_path)
         if (val_y < 0).any():
             raise DatasetLabelError(f"{val_path}: validation rows must be labeled")
     else:
-        val_idx = []
         for c in range(n_classes):
-            members = np.flatnonzero(train_y == c)
-            take_n = max(1, len(members) // 10)
-            val_idx.extend(members[-take_n:])
-        val_idx = np.asarray(sorted(val_idx))
-        keep = np.ones(len(train_x), dtype=bool)
-        keep[val_idx] = False
-        val_x, val_y = train_x[val_idx], train_y[val_idx]
-        train_x, train_y = train_x[keep], train_y[keep]
+            members = np.flatnonzero(y == c)
+            val[members[-max(1, len(members) // 10):]] = True
+        val_x, val_y = x[val], y[val]
     if (test_y < 0).any():
         raise DatasetLabelError(f"{test_path}: test rows must be labeled")
     for split, rows in (("validation", val_x), ("test", test_x)):
         if len(rows) == 0:
             raise DatasetFormatError(f"{directory}: the {split} split is empty")
-    return DatasetBundle(train_x, train_y, val_x, val_y, test_x, test_y,
-                         n_classes, unlabeled_x)
+    train = (y >= 0) & ~val
+    return DatasetBundle(x[train], y[train], val_x, val_y, test_x, test_y,
+                         n_classes, x[y < 0])
 
 
 def split_semisup(bundle: DatasetBundle, labeled_fraction: float, seed: int) -> DatasetBundle:

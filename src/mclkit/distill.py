@@ -143,7 +143,7 @@ def _pretrain_prior(prior, bundle, recon_x, cfg) -> dict[str, TrainHistory]:
             bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
         ),
         "reconstruction": train(
-            OutputMatchingObjective([prior.sensing, prior.synthesis]),
+            OutputMatchingObjective(prior.stacks()[:2]),
             recon_x, None, bundle.val_x, None, cfg,
         ),
     }
@@ -155,7 +155,7 @@ def train_prior_supervised(prior: PriorModel, bundle: DatasetBundle,
     encoder/decoder as an l1 autoencoder, then all three parts jointly."""
     stages = _pretrain_prior(prior, bundle, bundle.train_x, cfg)
     stages["joint"] = train(
-        SupervisedObjective([prior.sensing, prior.synthesis, prior.head]),
+        SupervisedObjective(prior.stacks()),
         bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
     )
     return PipelineResult(prior, stages, {"kind": "prior_supervised"})
@@ -193,7 +193,7 @@ def train_prior_semisup(prior: PriorModel, bundle: DatasetBundle,
     all_x = np.concatenate([bundle.train_x, pool]) if len(pool) else bundle.train_x
     all_y = np.concatenate([bundle.train_y, np.zeros(len(pool), np.int64)])
     stages = _pretrain_prior(prior, bundle, all_x, cfg)
-    objective = SupervisedObjective([prior.sensing, prior.synthesis, prior.head])
+    objective = SupervisedObjective(prior.stacks())
     # Rounds are short continuations of one long optimization, so they run at
     # the schedule's first rate; the staged ladder applies to the full-length
     # procedures, not to each slice.
@@ -253,8 +253,7 @@ def _match(student, teacher, depth, x, val_x, cfg, targets=(None, None)):
     if depth == 2:
         copy_stack_params(teacher.synthesis, student.synthesis)
     return train(
-        OutputMatchingObjective([*student.stacks().values()][:depth],
-                                [*teacher.stacks().values()][:depth]),
+        OutputMatchingObjective(student.stacks()[:depth], teacher.stacks()[:depth]),
         x, targets[0], val_x, targets[1], cfg,
     )
 
@@ -274,8 +273,7 @@ def _stage3(student, teacher, x, y, val_x, val_y, cfg, labeled_logits=None):
         )
     copy_stack_params(teacher.head, student.head)
     return train(
-        SupervisedObjective([*student.stacks().values()], [*teacher.stacks().values()],
-                            cfg.distill_weight),
+        SupervisedObjective(student.stacks(), teacher.stacks(), cfg.distill_weight),
         x, y if labeled_logits is None else labeled_logits, val_x, val_y, cfg,
     )
 
@@ -296,7 +294,7 @@ def _teacher_targets(teacher, x, val_x, cfg, depth) -> list:
     fixed = not (cfg.flip or cfg.shift_fraction > 0) and (len(x) % b or b) > 1
     rows, val_rows = (x if fixed else None), val_x
     targets = []
-    for k, stack in enumerate([*teacher.stacks().values()][:depth]):
+    for k, stack in enumerate(teacher.stacks()[:depth]):
         if fixed:
             rows = _forward_chunks([stack], rows, b)
         val_rows = _forward_chunks([stack], val_rows) if k < 2 else None
@@ -366,8 +364,7 @@ def _transfer(students, masks, teacher, bundle, cfg, pool_x=()):
         else:
             # Only the teacher-prediction pull is dropped; plain inference
             # training still runs, from whatever the earlier stages left behind.
-            final = train(SupervisedObjective([*student.stacks().values()]),
-                          x, y, val_x, val_y, cfg)
+            final = train(SupervisedObjective(student.stacks()), x, y, val_x, val_y, cfg)
         for p, before in zip(teacher.all_params(), teacher_before):
             if not np.array_equal(p.value, before):
                 raise StateError(f"teacher parameter {p.name} changed during knowledge transfer")
@@ -414,7 +411,7 @@ def train_mcl_baseline(student: MclModel, bundle: DatasetBundle,
     )
     hosvd_init(student, bundle.train_x)
     stages["end_to_end"] = train(
-        SupervisedObjective([student.sensing, student.synthesis, student.head]),
+        SupervisedObjective(student.stacks()),
         bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
     )
     return PipelineResult(student, stages, {"kind": "mcl_baseline"})
@@ -427,11 +424,11 @@ def train_mclwop(student: MclModel, bundle: DatasetBundle,
     inference training."""
     stages: dict[str, TrainHistory] = {}
     stages["reconstruction"] = train(
-        OutputMatchingObjective([student.sensing, student.synthesis]),
+        OutputMatchingObjective(student.stacks()[:2]),
         bundle.train_x, None, bundle.val_x, None, cfg,
     )
     stages["end_to_end"] = train(
-        SupervisedObjective([student.sensing, student.synthesis, student.head]),
+        SupervisedObjective(student.stacks()),
         bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
     )
     return PipelineResult(student, stages, {"kind": "mclwop"})

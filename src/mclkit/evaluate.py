@@ -57,11 +57,17 @@ def _rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_labels(what, x, y) -> None:
+    if len(x) != len(y):
+        raise ConfigError(f"{what}: {len(x)} samples but {len(y)} labels")
+
+
 def accuracy(model, test_x, test_y) -> float:
     """Fraction of argmax predictions matching the labels (ties resolve to the
     lowest class index)."""
     if len(test_x) == 0:
         raise ConfigError("empty evaluation set")
+    _check_labels("test", test_x, test_y)
     return float(np.mean(model.forward_logits(test_x).argmax(axis=1) == test_y))
 
 
@@ -76,6 +82,8 @@ def knn_compressive(model, train_x, train_y, test_x, test_y, k=5) -> float:
         raise ConfigError(f"k={k} outside [1, {len(train_x)}], the training sample count")
     if len(test_x) == 0:
         raise ConfigError("empty evaluation set")
+    _check_labels("training", train_x, train_y)
+    _check_labels("test", test_x, test_y)
     z_train = model.measurements(train_x)
     n_classes = int(train_y.max()) + 1
     correct = 0
@@ -86,6 +94,12 @@ def knn_compressive(model, train_x, train_y, test_x, test_y, k=5) -> float:
             if votes.argmax() == test_y[start + row]:
                 correct += 1
     return correct / len(test_x)
+
+
+def _students(n, bundle, measurement, width, capacity, seed) -> list:
+    """``n`` equal nonlinear-synthesis students, one architecture and seed."""
+    return [build_mcl(bundle.signal_shape, measurement, bundle.n_classes, fs_kind="nonlinear",
+                      width=width, capacity=capacity, seed=seed) for _ in range(n)]
 
 
 @dataclass
@@ -124,9 +138,7 @@ def run_ablation(bundle: DatasetBundle, cfg: TrainConfig, measurement,
                               width=width, capacity=capacity, seed=cfg.seed)
         train_prior_supervised(teacher, bundle, cfg)
     masks = StageMask.all_masks()
-    students = [build_mcl(bundle.signal_shape, measurement, bundle.n_classes,
-                          fs_kind="nonlinear", width=width, capacity=capacity, seed=cfg.seed)
-                for _ in masks]
+    students = _students(len(masks), bundle, measurement, width, capacity, cfg.seed)
     report = AblationReport()
     for mask, result in zip(masks, _transfer(students, masks, teacher, bundle, cfg)):
         acc = accuracy(result.model, bundle.test_x, bundle.test_y)
@@ -162,13 +174,8 @@ def compare_prior_effect(bundle: DatasetBundle, cfg: TrainConfig, measurement,
         teacher = build_prior(bundle.signal_shape, measurement, bundle.n_classes,
                               width=width, capacity=capacity, seed=seed)
         train_prior_supervised(teacher, bundle, seed_cfg)
-        guided = build_mcl(bundle.signal_shape, measurement, bundle.n_classes,
-                           fs_kind="nonlinear", width=width, capacity=capacity,
-                           seed=seed)
+        guided, control = _students(2, bundle, measurement, width, capacity, seed)
         train_mclwp(guided, teacher, bundle, seed_cfg, StageMask())
-        control = build_mcl(bundle.signal_shape, measurement, bundle.n_classes,
-                            fs_kind="nonlinear", width=width, capacity=capacity,
-                            seed=seed)
         train_mclwop(control, bundle, seed_cfg)
         report.param_counts = {
             "mclwp": guided.param_count(),

@@ -4,7 +4,7 @@ Layers operate on batched arrays shaped ``(batch,) + sample_shape`` with
 channels last.  Each layer caches whatever its backward pass needs when
 ``training=True``; calling backward without such a cached forward raises
 :class:`~mclkit.errors.StateError`.  A stack instance is single-writer during
-training; read-only clones may serve inference from multiple threads.
+training; inference (``training=False``) writes no layer state.
 """
 
 from __future__ import annotations

@@ -48,8 +48,11 @@ class MeasurementConfig:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
+        ok = [isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+              for d in self.dims]
+        if len(ok) != 3 or not all(ok):
             raise ConfigError(f"measurement dims must be 3 positive ints, got {self.dims}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
     @classmethod
     def parse(cls, text: str) -> "MeasurementConfig":
@@ -83,42 +86,40 @@ class MeasurementConfig:
 class _CompressiveModel:
     """Shared behaviour of the student and teacher triples."""
 
-    def __init__(self, sensing, synthesis, head, signal_shape, measurement, n_classes):
-        if sensing.out_shape != synthesis.in_shape:
-            raise ShapeMismatchError(
-                f"sensing output {sensing.out_shape} does not feed synthesis "
-                f"input {synthesis.in_shape}"
-            )
-        if synthesis.out_shape != head.in_shape:
-            raise ShapeMismatchError(
-                f"synthesis output {synthesis.out_shape} does not feed head "
-                f"input {head.in_shape}"
-            )
-        self.sensing = sensing
-        self.synthesis = synthesis
-        self.head = head
+    def __init__(self, sensing, synthesis, head, signal_shape, measurement, n_classes,
+                 width, capacity):
+        self.sensing, self.synthesis, self.head = sensing, synthesis, head
+        for a, b in zip(self.stacks(), self.stacks()[1:]):
+            if a.out_shape != b.in_shape:
+                raise ShapeMismatchError(
+                    f"{a.name} output {a.out_shape} does not feed {b.name} input {b.in_shape}"
+                )
         self.signal_shape = tuple(signal_shape)
         self.measurement = measurement
         self.n_classes = int(n_classes)
+        self.width = int(width)
+        self.capacity = capacity
 
-    def stacks(self) -> dict[str, LayerStack]:
-        return {"sensing": self.sensing, "synthesis": self.synthesis, "head": self.head}
+    def stacks(self) -> tuple[LayerStack, LayerStack, LayerStack]:
+        """The chain ``(sensing, synthesis, head)``; ``stacks()[:d]`` is its
+        first ``d`` stacks."""
+        return self.sensing, self.synthesis, self.head
 
     def all_params(self):
-        return [p for s in self.stacks().values() for p in s.params]
+        return [p for s in self.stacks() for p in s.params]
 
     def param_count(self) -> int:
         return int(sum(p.value.size for p in self.all_params()))
 
     # --- batched entry points -------------------------------------------------
     def measurements(self, x):
-        return _forward_chunks([self.sensing], x)
+        return _forward_chunks(self.stacks()[:1], x)
 
     def features(self, x):
-        return _forward_chunks([self.sensing, self.synthesis], x)
+        return _forward_chunks(self.stacks()[:2], x)
 
     def forward_logits(self, x):
-        return _forward_chunks([self.sensing, self.synthesis, self.head], x)
+        return _forward_chunks(self.stacks(), x)
 
     # --- single-sample entry points --------------------------------------------
     def sense(self, signal):
@@ -138,10 +139,9 @@ class MclModel(_CompressiveModel):
 
     def __init__(self, sensing, synthesis, head, signal_shape, measurement,
                  n_classes, fs_kind, width, capacity):
-        super().__init__(sensing, synthesis, head, signal_shape, measurement, n_classes)
+        super().__init__(sensing, synthesis, head, signal_shape, measurement, n_classes,
+                         width, capacity)
         self.fs_kind = fs_kind
-        self.width = int(width)
-        self.capacity = capacity
 
     @property
     def sensing_factors(self):
@@ -153,9 +153,8 @@ class PriorModel(_CompressiveModel):
 
     def __init__(self, sensing, synthesis, head, signal_shape, measurement,
                  n_classes, width, capacity, pool_stages):
-        super().__init__(sensing, synthesis, head, signal_shape, measurement, n_classes)
-        self.width = int(width)
-        self.capacity = capacity
+        super().__init__(sensing, synthesis, head, signal_shape, measurement, n_classes,
+                         width, capacity)
         self.pool_stages = int(pool_stages)
 
 
@@ -239,6 +238,17 @@ def _decoder_layers(signal_shape, m_dims, width, per_block, rng):
     return layers
 
 
+def _assemble(cls, signal_shape, measurement, n_classes, width, capacity, rng,
+              sensing, synthesis, **kind):
+    """The model of class ``cls`` from its sensing and synthesis layers and
+    a head whose layers are drawn from ``rng`` last."""
+    return cls(LayerStack(sensing, signal_shape, name="sensing"),
+               LayerStack(synthesis, measurement.dims, name="synthesis"),
+               LayerStack(_head_layers(signal_shape, width, n_classes, rng), signal_shape,
+                          name="head"),
+               signal_shape, measurement, n_classes, width=width, capacity=capacity, **kind)
+
+
 def build_mcl(signal_shape, measurement, n_classes, fs_kind="multilinear",
               width=16, capacity="small", seed=0) -> MclModel:
     """Assemble the multilinear-sensing student.
@@ -252,23 +262,13 @@ def build_mcl(signal_shape, measurement, n_classes, fs_kind="multilinear",
         raise ConfigError(f"fs_kind must be 'multilinear' or 'nonlinear', got {fs_kind!r}")
     rng = np.random.default_rng(seed)
     m_dims = measurement.dims
-    sensing = LayerStack(
-        [ModeProjection(signal_shape, m_dims, rng=rng)],
-        signal_shape,
-        name="sensing",
-    )
+    sensing = [ModeProjection(signal_shape, m_dims, rng=rng)]
     if fs_kind == "multilinear":
-        synth_layers = [ModeProjection(m_dims, signal_shape, rng=rng)]
+        synthesis = [ModeProjection(m_dims, signal_shape, rng=rng)]
     else:
-        synth_layers = _decoder_layers(signal_shape, m_dims, width, per_block, rng)
-    synthesis = LayerStack(synth_layers, m_dims, name="synthesis")
-    head = LayerStack(
-        _head_layers(signal_shape, width, n_classes, rng),
-        signal_shape,
-        name="head",
-    )
-    return MclModel(sensing, synthesis, head, signal_shape, measurement,
-                    n_classes, fs_kind, width, capacity)
+        synthesis = _decoder_layers(signal_shape, m_dims, width, per_block, rng)
+    return _assemble(MclModel, signal_shape, measurement, n_classes, width, capacity, rng,
+                     sensing, synthesis, fs_kind=fs_kind)
 
 
 def build_prior(signal_shape, measurement, n_classes, width=16, capacity="small",
@@ -283,20 +283,10 @@ def build_prior(signal_shape, measurement, n_classes, width=16, capacity="small"
     signal_shape, measurement, per_block = _prologue(signal_shape, measurement, width, capacity)
     rng = np.random.default_rng(seed)
     m_dims = measurement.dims
-    enc_layers, p = _encoder_layers(signal_shape, m_dims, width, per_block, rng)
-    sensing = LayerStack(enc_layers, signal_shape, name="sensing")
-    synthesis = LayerStack(
-        _decoder_layers(signal_shape, m_dims, width, per_block, rng),
-        m_dims,
-        name="synthesis",
-    )
-    head = LayerStack(
-        _head_layers(signal_shape, width, n_classes, rng),
-        signal_shape,
-        name="head",
-    )
-    return PriorModel(sensing, synthesis, head, signal_shape, measurement,
-                      n_classes, width, capacity, p)
+    sensing, p = _encoder_layers(signal_shape, m_dims, width, per_block, rng)
+    synthesis = _decoder_layers(signal_shape, m_dims, width, per_block, rng)
+    return _assemble(PriorModel, signal_shape, measurement, n_classes, width, capacity, rng,
+                     sensing, synthesis, pool_stages=p)
 
 
 def hosvd_init(model: MclModel, train_samples) -> None:

@@ -314,9 +314,11 @@ def train(objective: Objective, train_x, train_y, val_x, val_y, cfg: TrainConfig
     is an optional hook called after each epoch's validation pass.
     """
     n = len(train_x)
-    for what, data in (("training", train_x), ("validation", val_x)):
+    for what, data, labels in (("training", train_x, train_y), ("validation", val_x, val_y)):
         if len(data) == 0:
             raise ConfigError(f"{what} data is empty")
+        if labels is not None and len(labels) != len(data):
+            raise ConfigError(f"{what} data: {len(data)} samples but {len(labels)} labels")
     rng = np.random.default_rng(cfg.seed)
     params = [p for s in objective.trainable for p in s.params]
     adam = AdamState(params)

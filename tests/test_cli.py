@@ -364,6 +364,35 @@ class TestEvalAndAblate:
         assert code == 0
         assert ",knn3_accuracy," in (out / "report.csv").read_text()
 
+    @pytest.mark.parametrize("setting", [("--k", "0"), ("--k", "3"),
+                                         ("--labeled-fraction", "0.5"),
+                                         ("k=0",), ("labeled_fraction=0.5",)],
+                             ids=["flag-k0", "flag-k3", "flag-labeled-fraction", "key-k0",
+                                  "key-labeled-fraction"])
+    def test_eval_accuracy_rejects_knn_settings(self, dataset_dir, teacher_ckpt, tmp_path,
+                                                setting, capsys):
+        # Only knn reads k or the training split that labeled_fraction shapes.
+        args = list(setting)
+        if len(setting) == 1:
+            cfg = tmp_path / "eval.cfg"
+            cfg.write_text(setting[0] + "\n")
+            args = ["--config", str(cfg)]
+        out = tmp_path / "eval"
+        code = main(["eval", "--dataset", str(dataset_dir / "plain"),
+                     "--checkpoint", str(teacher_ckpt), "--metric", "accuracy", *args,
+                     "--out", str(out)])
+        assert code == 2
+        assert "--metric accuracy takes no" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_knn_takes_labeled_fraction(self, dataset_dir, teacher_ckpt, tmp_path):
+        out = tmp_path / "eval"
+        code = main(["eval", "--dataset", str(dataset_dir / "plain"),
+                     "--checkpoint", str(teacher_ckpt), "--metric", "knn",
+                     "--labeled-fraction", "0.5", "--k", "1", "--out", str(out)])
+        assert code == 0
+        assert ",knn1_accuracy," in (out / "report.csv").read_text()
+
     @pytest.mark.parametrize("command", ["eval", "ablate"])
     def test_single_seed_commands_reject_seed_lists(self, dataset_dir, config_file,
                                                     teacher_ckpt, tmp_path, command):

@@ -206,6 +206,36 @@ class TestBundleIO:
         assert len(loaded.val_x) >= 3
         assert len(loaded.val_x) + len(loaded.train_x) == len(bundle.train_x)
 
+    def test_split_rows_and_order_are_pinned(self, tmp_path):
+        # 21 rows of class 0, 5 of class 1 and 4 unlabeled, interleaved; row i holds i.
+        y = np.zeros(30, dtype=np.int64)
+        y[[4, 5, 13, 14, 22]] = 1
+        y[[3, 8, 25, 28]] = -1
+        x = np.arange(30, dtype=np.float32)[:, None, None, None] * np.ones((2, 2, 1), np.float32)
+        write_split(tmp_path / "train.mcld", x, y)
+        write_split(tmp_path / "test.mcld", x[:2], y[:2])
+
+        def rows(a):
+            return a[:, 0, 0, 0].astype(int).tolist()
+
+        # Carved: the last max(1, n_c // 10) labeled rows of each class, in file order.
+        carved = load_dataset(tmp_path)
+        assert rows(carved.val_x) == [22, 27, 29] and carved.val_y.tolist() == [1, 0, 0]
+        train_rows = [0, 1, 2, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+                      20, 21, 23, 24, 26]
+        assert rows(carved.train_x) == train_rows
+        assert carved.train_y.tolist() == y[train_rows].tolist()
+        assert rows(carved.unlabeled_x) == [3, 8, 25, 28]
+        assert carved.n_classes == 2
+
+        # With val.mcld, every labeled row trains, in file order.
+        write_split(tmp_path / "val.mcld", x[:3], y[:3])
+        given = load_dataset(tmp_path)
+        labeled = [i for i in range(30) if y[i] >= 0]
+        assert rows(given.train_x) == labeled and given.train_y.tolist() == y[labeled].tolist()
+        assert rows(given.unlabeled_x) == [3, 8, 25, 28]
+        assert rows(given.val_x) == [0, 1, 2]
+
     def test_missing_files(self, tmp_path):
         with pytest.raises(DatasetFormatError):
             load_dataset(tmp_path)

@@ -66,6 +66,12 @@ class TestAccuracy:
         with pytest.raises(ConfigError):
             accuracy(model, np.zeros((0,) + SIGNAL, dtype=np.float32), np.zeros(0))
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_label_count_mismatch_rejected(self, bundle, model, extra):
+        y = np.resize(bundle.test_y, len(bundle.test_y) + extra)
+        with pytest.raises(ConfigError, match="test: .* samples but .* labels"):
+            accuracy(model, bundle.test_x, y)
+
 
 def _brute_force_knn(z_train, train_y, z_test, k, n_classes):
     preds = []
@@ -117,6 +123,15 @@ class TestKnn:
         with pytest.raises(ConfigError):
             knn_compressive(model, bundle.train_x[:3], bundle.train_y[:3],
                             bundle.test_x, bundle.test_y, k=10)
+
+    @pytest.mark.parametrize("split", ["training", "test"])
+    @pytest.mark.parametrize("extra", [-5, 5])
+    def test_label_count_mismatch_rejected(self, bundle, model, split, extra):
+        ys = {"training": bundle.train_y, "test": bundle.test_y}
+        ys[split] = np.resize(ys[split], len(ys[split]) + extra)
+        with pytest.raises(ConfigError, match=f"{split}: .* samples but .* labels"):
+            knn_compressive(model, bundle.train_x, ys["training"],
+                            bundle.test_x, ys["test"], k=3)
 
     @pytest.mark.parametrize("k", [0, -1, -5])
     def test_k_below_one_rejected(self, bundle, model, k):

@@ -34,6 +34,19 @@ class TestMeasurementConfig:
         with pytest.raises(ConfigError):
             MeasurementConfig.parse("6by6")
 
+    @pytest.mark.parametrize("dims", [(3.5, 3, 1), (True, 2, 1), ("3", 3, 1)],
+                             ids=["float", "bool", "str"])
+    def test_rejects_dims_that_are_not_ints(self, dims):
+        with pytest.raises(ConfigError, match="3 positive ints"):
+            MeasurementConfig(dims)
+        with pytest.raises(ConfigError, match="3 positive ints"):
+            build_mcl((8, 8, 1), dims, 3)
+
+    def test_numpy_ints_are_stored_as_int(self):
+        cfg = MeasurementConfig((np.int64(4), np.int32(3), 1))
+        assert cfg.dims == (4, 3, 1) and {type(d) for d in cfg.dims} == {int}
+        assert str(cfg) == "4x3x1"
+
 
 class TestBuildMcl:
     def test_multilinear_factor_shapes(self):
@@ -65,6 +78,23 @@ class TestBuildMcl:
 def test_bad_model_settings_rejected_by_every_builder(build, setting):
     with pytest.raises(ConfigError):
         build((8, 8, 1), (4, 4, 1), 4, **setting)
+
+
+@pytest.mark.parametrize("build", [
+    partial(build_mcl, fs_kind="multilinear"), partial(build_mcl, fs_kind="nonlinear"), build_prior,
+], ids=["multilinear", "nonlinear", "prior"])
+def test_stacks_is_the_chain(build):
+    m = build((8, 8, 1), (4, 4, 1), 3, width=4, seed=0)
+    chain = m.stacks()
+    assert chain == (m.sensing, m.synthesis, m.head)
+    assert [s.name for s in chain] == ["sensing", "synthesis", "head"]
+    assert m.all_params() == [p for s in chain for p in s.params]
+    x = np.random.default_rng(0).random((3, 8, 8, 1)).astype(np.float32)
+    z = m.sensing.forward(x)
+    f = m.synthesis.forward(z)
+    for got, want in ((m.measurements(x), z), (m.features(x), f),
+                      (m.forward_logits(x), m.head.forward(f))):
+        assert np.array_equal(got, want)
 
 
 class TestBuildPrior:

@@ -233,6 +233,19 @@ class TestTrainLoop:
                       np.zeros((n_val, 6), dtype=np.float32), np.zeros(n_val, dtype=np.int64),
                       TrainConfig(epochs=1, lr_switch_epochs=(), lr_values=(1e-3,)))
 
+    @pytest.mark.parametrize("what,n_train_y,n_val_y", [
+        ("training", 25, 4), ("training", 15, 4), ("validation", 20, 3), ("validation", 20, 5),
+    ])
+    def test_label_count_mismatch_rejected(self, what, n_train_y, n_val_y):
+        stack = _toy_stack()
+        before = [p.value.copy() for p in stack.params]
+        with pytest.raises(ConfigError, match=f"{what} data: .* samples but .* labels"):
+            train(SupervisedObjective([stack]),
+                  np.zeros((20, 6), dtype=np.float32), np.zeros(n_train_y, dtype=np.int64),
+                  np.zeros((4, 6), dtype=np.float32), np.zeros(n_val_y, dtype=np.int64),
+                  TrainConfig(epochs=1, lr_switch_epochs=(), lr_values=(1e-3,)))
+        assert all(np.array_equal(p.value, b) for p, b in zip(stack.params, before))
+
     def test_divergence_raises_with_diagnostics(self):
         x, y = _toy_problem(20)
         stack = _toy_stack(seed=6)
