@@ -27,7 +27,7 @@ from .distill import (
 )
 from .errors import ConfigError
 from .models import MeasurementConfig, build_mcl, build_prior
-from .optimize import TrainConfig
+from .optimize import TrainConfig, _check_labels
 
 __all__ = [
     "accuracy",
@@ -57,11 +57,6 @@ def _rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_labels(what, x, y) -> None:
-    if len(x) != len(y):
-        raise ConfigError(f"{what}: {len(x)} samples but {len(y)} labels")
-
-
 def accuracy(model, test_x, test_y) -> float:
     """Fraction of argmax predictions matching the labels (ties resolve to the
     lowest class index)."""
@@ -84,6 +79,8 @@ def knn_compressive(model, train_x, train_y, test_x, test_y, k=5) -> float:
         raise ConfigError("empty evaluation set")
     _check_labels("training", train_x, train_y)
     _check_labels("test", test_x, test_y)
+    if train_y.min() < 0:
+        raise ConfigError("training labels must be >= 0; -1 marks an unlabeled sample")
     z_train = model.measurements(train_x)
     n_classes = int(train_y.max()) + 1
     correct = 0

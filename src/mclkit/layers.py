@@ -115,6 +115,45 @@ class Dense(Layer):
         return grad @ self.w.value
 
 
+# Column rows per Conv2d GEMM block: a block is whole samples, at least one.
+# Bigger blocks raise peak memory; smaller ones add Python iterations.
+_BLOCK_ROWS = 1024
+
+
+def _columns(xp):
+    """Yield ``(start, stop, cols)`` over blocks of whole padded samples:
+    ``cols[s, y * W + x]`` is the 3×3 patch at output pixel ``(y, x)`` of
+    sample ``start + s``, tap-major then channel, so it multiplies a kernel
+    of shape ``(3, 3, C, O)`` reshaped to ``(9C, O)``.  All blocks share one
+    buffer, so each ``cols`` is valid until the next one is made."""
+    n, hp, wp, c = xp.shape
+    h, w = hp - 2, wp - 2
+    step = max(1, _BLOCK_ROWS // (h * w))
+    buf = np.empty((min(step, n), h, w, 3, 3, c), dtype=xp.dtype)
+    taps = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    taps = taps.transpose(0, 1, 2, 4, 5, 3)
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        np.copyto(buf[: j - i], taps[i:j])
+        yield i, j, buf[: j - i].reshape(j - i, h * w, 9 * c)
+
+
+def _correlate(xp, wmat):
+    """3×3 'valid' correlation of the padded batch ``xp`` with ``wmat``, a
+    ``(9C, O)`` kernel matrix: one stacked product per block, one GEMM per
+    sample, so a sample's output bits do not depend on its batch."""
+    n, hp, wp, _ = xp.shape
+    o = wmat.shape[1]
+    out = np.empty((n, hp - 2, wp - 2, o), dtype=xp.dtype)
+    for i, j, cols in _columns(xp):
+        np.matmul(cols, wmat, out=out[i:j].reshape(j - i, -1, o))
+    return out
+
+
+def _pad1(x):
+    return np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+
+
 class Conv2d(Layer):
     """3×3 convolution, stride 1, zero 'same' padding."""
 
@@ -141,16 +180,8 @@ class Conv2d(Layer):
         return (in_shape[0], in_shape[1], self.out_channels)
 
     def forward(self, x, training=False):
-        k = self.kernel_size
-        pad = k // 2
-        b, h, w, _ = x.shape
-        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-        out = np.zeros((b, h, w, self.out_channels), dtype=x.dtype)
-        wt = self.w.value
-        for u in range(k):
-            for v in range(k):
-                patch = xp[:, u : u + h, v : v + w, :].reshape(-1, self.in_channels)
-                out += (patch @ wt[u, v]).reshape(b, h, w, self.out_channels)
+        xp = _pad1(x)
+        out = _correlate(xp, self.w.value.reshape(-1, self.out_channels))
         out += self.b.value
         if training:
             self._cache = xp
@@ -158,21 +189,16 @@ class Conv2d(Layer):
 
     def backward(self, grad):
         xp = self._take_cache()
-        k = self.kernel_size
-        pad = k // 2
-        b, h, w, _ = grad.shape
-        gflat = grad.reshape(-1, self.out_channels)
-        gxp = np.zeros_like(xp)
-        wt = self.w.value
-        for u in range(k):
-            for v in range(k):
-                patch = xp[:, u : u + h, v : v + w, :].reshape(-1, self.in_channels)
-                self.w.grad[u, v] += patch.T @ gflat
-                gxp[:, u : u + h, v : v + w, :] += (gflat @ wt[u, v].T).reshape(
-                    b, h, w, self.in_channels
-                )
+        n, h, w, o = grad.shape
+        g = grad.reshape(n, h * w, o)
+        for i, j, cols in _columns(xp):
+            gw = cols.reshape(-1, cols.shape[2]).T @ g[i:j].reshape(-1, o)
+            self.w.grad += gw.reshape(self.w.grad.shape)
         self.b.grad += grad.sum(axis=(0, 1, 2))
-        return gxp[:, pad : pad + h, pad : pad + w, :].copy()
+        # the input gradient correlates the padded output gradient with the
+        # kernel turned 180° and its channel axes swapped
+        flipped = self.w.value[::-1, ::-1].transpose(0, 1, 3, 2)
+        return _correlate(_pad1(grad), flipped.reshape(-1, self.in_channels))
 
 
 class ReLU(Layer):

@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 
+def _is_count(d) -> bool:
+    """The rule for every size setting: an int (numpy's too, not a bool), at least 1."""
+    return isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+
+
 @dataclass(frozen=True)
 class MeasurementConfig:
     """Target measurement dimensions (M1, M2, M3)."""
@@ -48,9 +53,7 @@ class MeasurementConfig:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        ok = [isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
-              for d in self.dims]
-        if len(ok) != 3 or not all(ok):
+        if len(self.dims) != 3 or not all(map(_is_count, self.dims)):
             raise ConfigError(f"measurement dims must be 3 positive ints, got {self.dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
@@ -158,15 +161,20 @@ class PriorModel(_CompressiveModel):
         self.pool_stages = int(pool_stages)
 
 
-def _prologue(signal_shape, measurement, width, capacity):
+def _prologue(signal_shape, measurement, n_classes, width, capacity):
     """Coerce and check the settings both builders share; returns the signal
     shape, the measurement config and the convolutions per block."""
+    signal_shape = tuple(signal_shape)
+    if len(signal_shape) != 3 or not all(map(_is_count, signal_shape)):
+        raise ConfigError(f"signal shape must be 3 positive ints, got {signal_shape}")
     signal_shape = tuple(int(d) for d in signal_shape)
     if isinstance(measurement, (tuple, list)):
         measurement = MeasurementConfig(tuple(measurement))
     measurement.validate_for(signal_shape)
-    if width < 1:
-        raise ConfigError(f"width must be >= 1, got {width}")
+    if not _is_count(width):
+        raise ConfigError(f"width must be a positive int, got {width!r}")
+    if not (_is_count(n_classes) and n_classes >= 2):
+        raise ConfigError(f"n_classes must be an int >= 2, got {n_classes!r}")
     if capacity not in ("small", "large"):
         raise ConfigError(f"capacity must be 'small' or 'large', got {capacity!r}")
     return signal_shape, measurement, 1 if capacity == "small" else 2
@@ -257,7 +265,8 @@ def build_mcl(signal_shape, measurement, n_classes, fs_kind="multilinear",
     feature synthesis; ``'nonlinear'`` mirrors the teacher's convolutional
     decoder so its weights can be copied across.
     """
-    signal_shape, measurement, per_block = _prologue(signal_shape, measurement, width, capacity)
+    signal_shape, measurement, per_block = _prologue(
+        signal_shape, measurement, n_classes, width, capacity)
     if fs_kind not in ("multilinear", "nonlinear"):
         raise ConfigError(f"fs_kind must be 'multilinear' or 'nonlinear', got {fs_kind!r}")
     rng = np.random.default_rng(seed)
@@ -280,7 +289,8 @@ def build_prior(signal_shape, measurement, n_classes, width=16, capacity="small"
     decoder mirrors it with nearest-neighbour upsampling.  ``capacity='large'``
     doubles the convolution count per block in both.
     """
-    signal_shape, measurement, per_block = _prologue(signal_shape, measurement, width, capacity)
+    signal_shape, measurement, per_block = _prologue(
+        signal_shape, measurement, n_classes, width, capacity)
     rng = np.random.default_rng(seed)
     m_dims = measurement.dims
     sensing, p = _encoder_layers(signal_shape, m_dims, width, per_block, rng)

@@ -207,6 +207,15 @@ class TrainHistory:
             fh.write(self.csv_text())
 
 
+def _check_labels(what, x, y) -> None:
+    """Class labels are one 1-D entry per sample: a column would broadcast
+    against the predictions."""
+    if np.ndim(y) != 1:
+        raise ConfigError(f"{what}: labels must be 1-D, got shape {np.shape(y)}")
+    if len(x) != len(y):
+        raise ConfigError(f"{what}: {len(x)} samples but {len(y)} labels")
+
+
 def _backward_path(stacks, grad):
     for s in reversed(stacks):
         grad = s.backward(grad)
@@ -262,6 +271,7 @@ class SupervisedObjective(Objective):
         return loss
 
     def val_metric(self, x, y):
+        _check_labels("validation", x, y)
         logits = _forward_chunks(self.path, x)
         return float(np.mean(logits.argmax(axis=1) == y))
 

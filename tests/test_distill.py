@@ -239,7 +239,7 @@ class TestPrecomputedTeacherTargets:
         # Sensing, sensing + synthesis and the full path, in blocks of the
         # batch size against shuffled batches with a short last batch
         # (n % 32 != 0).  At width 8 the decoder's one-channel output conv
-        # rounds differently in blocks of 256 rows.
+        # is a matrix-vector product per sample.
         teacher = build_prior(signal, meas, classes, width=width, seed=0)
         rng = np.random.default_rng(1)
         x = rng.random((n,) + signal, dtype=np.float32)

@@ -72,6 +72,17 @@ class TestAccuracy:
         with pytest.raises(ConfigError, match="test: .* samples but .* labels"):
             accuracy(model, bundle.test_x, y)
 
+    def test_label_column_rejected(self, bundle):
+        # a column of labels would broadcast against the predictions to n x n
+        class Oracle:
+            def forward_logits(self, x):
+                return np.eye(3)[np.arange(len(x)) % 3]
+
+        x, y = bundle.test_x[:9], np.arange(9) % 3
+        assert accuracy(Oracle(), x, y) == 1.0
+        with pytest.raises(ConfigError, match="test: labels must be 1-D"):
+            accuracy(Oracle(), x, y[:, None])
+
 
 def _brute_force_knn(z_train, train_y, z_test, k, n_classes):
     preds = []
@@ -132,6 +143,15 @@ class TestKnn:
         with pytest.raises(ConfigError, match=f"{split}: .* samples but .* labels"):
             knn_compressive(model, bundle.train_x, ys["training"],
                             bundle.test_x, ys["test"], k=3)
+
+    def test_unlabeled_training_marker_rejected(self, bundle, monkeypatch):
+        # -1 marks an unlabeled sample; it has no class to vote for
+        m = build_mcl(SIGNAL, (3, 3, 1), 3, seed=0)
+        monkeypatch.setattr(m, "measurements", None)  # no work before the check
+        train_y = bundle.train_y.copy()
+        train_y[::4] = -1
+        with pytest.raises(ConfigError, match="unlabeled"):
+            knn_compressive(m, bundle.train_x, train_y, bundle.test_x, bundle.test_y, k=3)
 
     @pytest.mark.parametrize("k", [0, -1, -5])
     def test_k_below_one_rejected(self, bundle, model, k):

@@ -276,6 +276,56 @@ def test_conv_stack_cross_entropy_finite_differences():
     assert grad_check(stack, "cross_entropy", x, np.array([0, 3])) < 1e-4
 
 
+def _conv_reference(x, w, b, g):
+    """Per-pixel float64 3x3 'same' convolution: output, kernel, bias and
+    input gradients for the output gradient ``g``."""
+    n, h, wd, c = x.shape
+    xp = np.zeros((n, h + 2, wd + 2, c))
+    xp[:, 1:-1, 1:-1] = x
+    out = np.empty((n, h, wd, w.shape[3]))
+    gw, gxp = np.zeros(w.shape), np.zeros(xp.shape)
+    for s, i, j in np.ndindex(n, h, wd):
+        patch = xp[s, i : i + 3, j : j + 3]
+        out[s, i, j] = np.einsum("uvc,uvco->o", patch, w) + b
+        gw += patch[..., None] * g[s, i, j]
+        gxp[s, i : i + 3, j : j + 3] += w @ g[s, i, j]
+    return out, gw, g.sum(axis=(0, 1, 2)), gxp[:, 1:-1, 1:-1]
+
+
+@pytest.mark.parametrize("n,h,w,c,o", [
+    (2, 5, 7, 3, 4), (3, 5, 7, 1, 2), (2, 7, 5, 2, 1), (1, 5, 7, 3, 4), (0, 5, 7, 3, 4),
+    (1, 1, 1, 1, 1), (40, 5, 7, 2, 3),  # 40 samples of 35 rows span two blocks
+])
+def test_conv2d_matches_per_pixel_reference(n, h, w, c, o):
+    rng = np.random.default_rng(11)
+    conv = Conv2d(c, o, rng=rng, dtype=np.float64)
+    conv.b.value[...] = rng.normal(size=o)
+    x = rng.normal(size=(n, h, w, c))
+    g = rng.normal(size=(n, h, w, o))
+    out, gw, gb, gx = _conv_reference(x, conv.w.value, conv.b.value, g)
+    np.testing.assert_allclose(conv.forward(x, training=True), out, rtol=1e-12, atol=1e-12)
+    gin = conv.backward(g)
+    assert gin.shape == x.shape
+    np.testing.assert_allclose(gin, gx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(conv.w.grad, gw, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(conv.b.grad, gb, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("c,o,size", [(16, 3, 32), (12, 1, 16)])
+def test_conv2d_sample_bits_do_not_depend_on_the_batch(c, o, size):
+    # One flat GEMM over the whole batch rounds a row by the product's row
+    # count at 16->3; 12->1 is the one-channel output conv, a matrix-vector
+    # product.  Each sample must get its own product.
+    rng = np.random.default_rng(12)
+    conv = Conv2d(c, o, rng=rng)
+    x = rng.normal(size=(9, size, size, c)).astype(np.float32)
+    out = conv.forward(x)
+    p = rng.permutation(len(x))
+    assert np.array_equal(conv.forward(x[p]), out[p])
+    for i in range(len(x)):
+        assert np.array_equal(conv.forward(x[i : i + 1])[0], out[i]), f"sample {i}"
+
+
 def test_param_names_are_stable_and_prefixed():
     rng = np.random.default_rng(8)
     stack = LayerStack([Conv2d(1, 2, rng=rng), ReLU(), GlobalAvgPool(),

@@ -73,11 +73,24 @@ class TestBuildMcl:
 @pytest.mark.parametrize("build", [
     partial(build_mcl, fs_kind="multilinear"), partial(build_mcl, fs_kind="nonlinear"), build_prior,
 ], ids=["multilinear", "nonlinear", "prior"])
-@pytest.mark.parametrize("setting", [dict(width=0), dict(width=-1), dict(capacity="huge")],
-                         ids=["width0", "width-1", "capacity-huge"])
+@pytest.mark.parametrize("setting", [
+    dict(width=0), dict(width=-1), dict(width=2.5), dict(width=True), dict(capacity="huge"),
+    dict(n_classes=0), dict(n_classes=1), dict(n_classes=2.5), dict(signal=(8.5, 8, 1)),
+    dict(signal=(8, 8)), dict(signal=(8, 0, 1)),
+], ids=["width0", "width-1", "width-float", "width-bool", "capacity-huge", "classes0",
+        "classes1", "classes-float", "signal-float", "signal-rank2", "signal-zero"])
 def test_bad_model_settings_rejected_by_every_builder(build, setting):
+    args = {"signal": (8, 8, 1), "n_classes": 4, **setting}
     with pytest.raises(ConfigError):
-        build((8, 8, 1), (4, 4, 1), 4, **setting)
+        build(args.pop("signal"), (4, 4, 1), args.pop("n_classes"), **args)
+
+
+def test_numpy_int_settings_build_the_same_model():
+    a = build_prior((8, 8, 1), (4, 4, 1), 2, width=4, seed=0)
+    b = build_prior(tuple(np.int64(d) for d in (8, 8, 1)), (4, 4, 1), np.int64(2),
+                    width=np.int32(4), seed=0)
+    assert b.signal_shape == (8, 8, 1) and b.n_classes == 2 and b.width == 4
+    assert all(np.array_equal(p.value, q.value) for p, q in zip(a.all_params(), b.all_params()))
 
 
 @pytest.mark.parametrize("build", [

@@ -246,6 +246,13 @@ class TestTrainLoop:
                   TrainConfig(epochs=1, lr_switch_epochs=(), lr_values=(1e-3,)))
         assert all(np.array_equal(p.value, b) for p, b in zip(stack.params, before))
 
+    def test_validation_label_column_rejected(self):
+        x, y = _toy_problem(20)
+        objective = SupervisedObjective([_toy_stack()])
+        assert 0.0 <= objective.val_metric(x, y) <= 1.0
+        with pytest.raises(ConfigError, match="validation: labels must be 1-D"):
+            objective.val_metric(x, y[:, None])
+
     def test_divergence_raises_with_diagnostics(self):
         x, y = _toy_problem(20)
         stack = _toy_stack(seed=6)
