@@ -8,7 +8,6 @@ import numpy as np
 from mclkit.layers import (
     Conv2d,
     Dense,
-    Flatten,
     GlobalAvgPool,
     LayerStack,
     MaxPool2,
@@ -33,8 +32,8 @@ cases = [
      LayerStack([Conv2d(1, 4, rng=rng, dtype=dt), ReLU(), MaxPool2(),
                  GlobalAvgPool(), Dense(4, 3, rng, dtype=dt)], (8, 8, 1)),
      rng.normal(size=(2, 8, 8, 1)), "cross_entropy", np.array([0, 2])),
-    ("upsample/flatten/dense + symmetric-KL",
-     LayerStack([Upsample2(), Flatten(), Dense(48, 5, rng, dtype=dt)], (2, 3, 2)),
+    ("upsample/gap/dense + symmetric-KL",
+     LayerStack([Upsample2(), GlobalAvgPool(), Dense(2, 5, rng, dtype=dt)], (2, 3, 2)),
      rng.normal(size=(2, 2, 3, 2)), "symmetric_kl", rng.normal(size=(2, 5))),
 ]
 

@@ -282,21 +282,16 @@ def _teacher_targets(teacher, x, val_x, cfg, depth) -> list:
     """The frozen teacher's (training rows, validation rows) after each of
     its first ``depth`` stacks (sensing, synthesis, head), computed once.
 
-    BLAS may round a row differently at another row count, so the training
-    rows run in blocks of the batch size, as train() runs them, and the
-    validation rows in the chunks of the validation metric; the tests check
-    each row against the per-batch teacher's bit for bit.  Training rows are
-    None when a batch can differ from them: augmented batches need the
-    teacher on their own rows, and a one-row batch takes numpy's
-    matrix-vector product.  No validation metric reads the head's rows.
+    They equal the per-batch teacher's bit for bit (see :mod:`mclkit.layers`).
+    Training rows are None under augmentation, whose batches need the teacher
+    on their own rows.  No validation metric reads the head's rows.
     """
-    b = cfg.batch_size
-    fixed = not (cfg.flip or cfg.shift_fraction > 0) and (len(x) % b or b) > 1
+    fixed = not (cfg.flip or cfg.shift_fraction > 0)
     rows, val_rows = (x if fixed else None), val_x
     targets = []
     for k, stack in enumerate(teacher.stacks()[:depth]):
         if fixed:
-            rows = _forward_chunks([stack], rows, b)
+            rows = _forward_chunks([stack], rows)
         val_rows = _forward_chunks([stack], val_rows) if k < 2 else None
         targets.append((rows, val_rows))
     return targets

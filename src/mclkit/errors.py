@@ -9,6 +9,10 @@ class ShapeMismatchError(MclError, ValueError):
     """Operands have incompatible shapes; the message names the offending mode/layer."""
 
 
+class NonFiniteError(MclError, ValueError):
+    """An input array holds NaN or infinity; the message names the array."""
+
+
 class ConvergenceError(MclError, RuntimeError):
     """An iterative numeric routine failed to converge."""
 

@@ -5,6 +5,11 @@ channels last.  Each layer caches whatever its backward pass needs when
 ``training=True``; calling backward without such a cached forward raises
 :class:`~mclkit.errors.StateError`.  A stack instance is single-writer during
 training; inference (``training=False``) writes no layer state.
+
+Every layer's forward pass computes each sample apart from the other rows of
+its batch, so a sample's output bits do not depend on its batch: how many rows
+it runs with, or which.  Inference may therefore chunk rows freely, and
+outputs computed once equal those of per-batch runs bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor
-from .errors import ShapeMismatchError, StateError
+from .errors import NonFiniteError, ShapeMismatchError, StateError
 
 __all__ = [
     "Param",
@@ -24,7 +29,6 @@ __all__ = [
     "Upsample2",
     "ModeProjection",
     "GlobalAvgPool",
-    "Flatten",
     "LayerStack",
     "glorot_uniform",
 ]
@@ -106,7 +110,9 @@ class Dense(Layer):
     def forward(self, x, training=False):
         if training:
             self._cache = x
-        return x @ self.w.value.T + self.b.value
+        # a broadcast product summed per row, not `x @ w.T`: BLAS rounds a
+        # row of a matrix product by the product's row count
+        return (x[:, None, :] * self.w.value).sum(axis=2) + self.b.value
 
     def backward(self, grad):
         x = self._take_cache()
@@ -141,7 +147,7 @@ def _columns(xp):
 def _correlate(xp, wmat):
     """3×3 'valid' correlation of the padded batch ``xp`` with ``wmat``, a
     ``(9C, O)`` kernel matrix: one stacked product per block, one GEMM per
-    sample, so a sample's output bits do not depend on its batch."""
+    sample."""
     n, hp, wp, _ = xp.shape
     o = wmat.shape[1]
     out = np.empty((n, hp - 2, wp - 2, o), dtype=xp.dtype)
@@ -277,8 +283,7 @@ class ModeProjection(Layer):
     """Separable linear map: one factor matrix per sample mode.
 
     Forward and backward run the whole batch through the batched mode-product
-    kernel that :func:`mclkit.tensor.multi_mode_product` also uses.  That
-    kernel's per-sample results do not depend on the batch size, so
+    kernel that :func:`mclkit.tensor.multi_mode_product` also uses, so
     ``forward(x)[i]`` is bit-for-bit ``multi_mode_product(x[i], factors)``.
     """
 
@@ -318,7 +323,7 @@ class ModeProjection(Layer):
 
     def forward(self, x, training=False):
         if not np.isfinite(x).all():
-            raise ValueError("mode projection input contains non-finite values")
+            raise NonFiniteError("mode projection input contains non-finite values")
         out = tensor._batched_mode_product(x, self.factors)
         if training:
             self._cache = x
@@ -355,22 +360,6 @@ class GlobalAvgPool(Layer):
         b, h, w, c = self._take_cache()
         scale = np.asarray(1.0 / (h * w), dtype=grad.dtype)
         return np.broadcast_to(grad[:, None, None, :] * scale, (b, h, w, c)).copy()
-
-
-class Flatten(Layer):
-    kind = "flatten"
-
-    def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
-
-    def forward(self, x, training=False):
-        if training:
-            self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad):
-        shape = self._take_cache()
-        return grad.reshape(shape)
 
 
 class LayerStack:
@@ -435,10 +424,11 @@ def _forward_path(stacks, x, training=False):
     return x
 
 
-def _forward_chunks(stacks, x, chunk=256):
-    """Inference through a stack pipeline in fixed chunks of rows, written
-    into one output array; an empty input makes one zero-row pass, so the
-    result keeps its sample shape."""
+def _forward_chunks(stacks, x):
+    """Inference through a stack pipeline in chunks of rows, written into
+    one output array; an empty input makes one zero-row pass, so the result
+    keeps its sample shape."""
+    chunk = 256  # bounds memory; output bits do not depend on it
     first = _forward_path(stacks, x[:chunk])
     if len(x) <= chunk:
         return first

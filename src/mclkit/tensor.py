@@ -1,4 +1,4 @@
-"""Dense tensor algebra: mode products, unfoldings, Kronecker products, SVD, HOSVD.
+"""Dense tensor algebra: mode products, unfoldings, Kronecker products, HOSVD.
 
 Tensors are plain ``numpy.ndarray`` objects in row-major (C) order, so the
 last index varies fastest.  All functions are pure: inputs are never mutated
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, ShapeMismatchError
+from .errors import ConvergenceError, NonFiniteError, ShapeMismatchError
 
 __all__ = [
     "mode_k_product",
@@ -29,7 +29,6 @@ __all__ = [
     "kron_chain",
     "mode_k_unfold",
     "mode_k_fold",
-    "svd",
     "hosvd_factors",
 ]
 
@@ -44,7 +43,7 @@ def _as_tensor(t, name="tensor"):
     if a.ndim == 0:
         raise ShapeMismatchError(f"{name} must have at least one mode")
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite values")
+        raise NonFiniteError(f"{name} contains non-finite values")
     return a
 
 
@@ -53,7 +52,7 @@ def _as_matrix(m, name="matrix"):
     if a.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite values")
+        raise NonFiniteError(f"{name} contains non-finite values")
     return a
 
 
@@ -169,35 +168,16 @@ def mode_k_fold(m, k: int, shape: Sequence[int]) -> np.ndarray:
     return np.moveaxis(m.reshape(lead), 0, k).copy()
 
 
-def _fix_signs(u, v=None):
-    # Deterministic sign convention: first entry of each left vector whose
+def _fix_signs(u):
+    # Deterministic sign convention: first entry of each column whose
     # magnitude exceeds _SIGN_TOL is made non-negative.
     u = u.copy()
-    v = None if v is None else v.copy()
     for j in range(u.shape[1]):
         col = u[:, j]
         big = np.flatnonzero(np.abs(col) > _SIGN_TOL)
         if big.size and col[big[0]] < 0:
             u[:, j] = -col
-            if v is not None:
-                v[:, j] = -v[:, j]
-    return u if v is None else (u, v)
-
-
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin singular value decomposition ``m == U @ diag(s) @ V.T``.
-
-    Singular values are non-negative and non-increasing; ``U`` and ``V`` have
-    orthonormal columns and carry the package-wide sign convention so repeated
-    calls are bit-reproducible.
-    """
-    m = _as_matrix(m)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    u, v = _fix_signs(u, vh.T)
-    return u, s, v
+    return u
 
 
 def hosvd_factors(samples, target_dims: Sequence[int]) -> list[np.ndarray]:
@@ -237,7 +217,7 @@ def hosvd_factors(samples, target_dims: Sequence[int]) -> list[np.ndarray]:
     for start in range(0, len(stack), rows):
         block = stack[start : start + rows]
         if not np.isfinite(block).all():
-            raise ValueError("samples contain non-finite values")
+            raise NonFiniteError("samples contain non-finite values")
         for k, gram in enumerate(grams):
             # axis 0 of `block` is the sample axis; sample mode k is axis k+1.
             moved = np.moveaxis(block, k + 1, 0)
@@ -248,7 +228,8 @@ def hosvd_factors(samples, target_dims: Sequence[int]) -> list[np.ndarray]:
     factors = []
     for k, (gram, want) in enumerate(zip(grams, target_dims)):
         if not np.isfinite(gram).all():
-            raise ValueError(f"mode {k}: samples too large, the Gram matrix overflows float64")
+            raise NonFiniteError(
+                f"mode {k}: samples too large, the Gram matrix overflows float64")
         try:
             _, vecs = np.linalg.eigh(gram)
         except np.linalg.LinAlgError as exc:

@@ -32,7 +32,6 @@ from mclkit.distill import copy_stack_params, stage3_transfer
 from mclkit.layers import (
     Conv2d,
     Dense,
-    Flatten,
     GlobalAvgPool,
     LayerStack,
     MaxPool2,
@@ -85,8 +84,8 @@ def _gradient_cases(rng):
          (2, 4, 5, 2), "l1", (2, 2, 3, 1), 1e-6),
         ("global_avg_pool", LayerStack([GlobalAvgPool()], (4, 4, 3)),
          (2, 4, 4, 3), "l1", (2, 3), 1e-6),
-        ("flatten", LayerStack([Flatten(), Dense(12, 3, rng, dtype=dt)], (3, 4, 1)),
-         (2, 3, 4, 1), "cross_entropy", None, 1e-6),
+        ("head_tail", LayerStack([GlobalAvgPool(), Dense(12, 3, rng, dtype=dt)], (1, 2, 12)),
+         (2, 1, 2, 12), "cross_entropy", None, 1e-6),
     ]
 
 

@@ -25,7 +25,7 @@ from mclkit import (
 from mclkit import distill
 from mclkit.checkpoint import content_crc
 from mclkit.distill import copy_stack_params
-from mclkit.errors import ConfigError, ShapeMismatchError, StateError
+from mclkit.errors import ConfigError, MclError, NonFiniteError, ShapeMismatchError, StateError
 from mclkit.layers import LayerStack, ModeProjection, _forward_chunks
 from mclkit.models import PriorModel
 from mclkit.optimize import SupervisedObjective, train
@@ -220,10 +220,10 @@ def _per_batch_rows(stacks, x, order, batch_size):
     return outs
 
 
-def _chunked_rows(stacks, x, chunk):
+def _chunked_rows(stacks, x):
     outs = []
     for s in stacks:
-        x = _forward_chunks([s], x, chunk)
+        x = _forward_chunks([s], x)
         outs.append(x)
     return outs
 
@@ -234,17 +234,19 @@ class TestPrecomputedTeacherTargets:
         ((16, 16, 1), (4, 4, 1), 8, 4, 300),
         ((32, 32, 3), (6, 6, 1), 16, 10, 90),
         ((32, 32, 3), (14, 11, 2), 16, 10, 90),
+        ((32, 32, 3), (6, 6, 1), 32, 10, 90),
     ])
     def test_chunked_rows_equal_per_batch_rows(self, signal, meas, width, classes, n):
-        # Sensing, sensing + synthesis and the full path, in blocks of the
-        # batch size against shuffled batches with a short last batch
+        # Sensing, sensing + synthesis and the full path, in one pass over
+        # all rows against shuffled batches with a short last batch
         # (n % 32 != 0).  At width 8 the decoder's one-channel output conv
-        # is a matrix-vector product per sample.
+        # is a matrix-vector product per sample; at width 32 the head's
+        # dense layer has 32 inputs.
         teacher = build_prior(signal, meas, classes, width=width, seed=0)
         rng = np.random.default_rng(1)
         x = rng.random((n,) + signal, dtype=np.float32)
         stacks = [teacher.sensing, teacher.synthesis, teacher.head]
-        chunked = _chunked_rows(stacks, x, 32)
+        chunked = _chunked_rows(stacks, x)
         for batched, ref, name in zip(_per_batch_rows(stacks, x, rng.permutation(n), 32),
                                       chunked, ("sensing", "synthesis", "head")):
             assert np.array_equal(batched, ref), name
@@ -252,18 +254,17 @@ class TestPrecomputedTeacherTargets:
     @pytest.mark.parametrize("n_train,flip", [(120, False), (113, False), (120, True)],
                              ids=["precomputed", "one-row-batch", "flip"])
     def test_pipeline_equals_per_batch_stages(self, bundle, trained_teacher, n_train, flip):
-        # 113 rows in batches of 16 leave a one-row batch, whose teacher rows
-        # round differently, and flipped batches need the teacher on their own
-        # rows, so the training targets must then come from each batch.  The
-        # validation targets are computed once either way.
+        # 113 rows in batches of 16 leave a one-row batch, which the targets
+        # computed once must match too; flipped batches need the teacher on
+        # their own rows, so the training targets then come from each batch.
+        # The validation targets are computed once either way.
         teacher, _ = trained_teacher
         data = replace(bundle, train_x=bundle.train_x[:n_train],
                        train_y=bundle.train_y[:n_train])
         cfg = TrainConfig(epochs=2, lr_switch_epochs=(), lr_values=(1e-3,),
                           batch_size=16, seed=4, flip=flip)
         targets = distill._teacher_targets(teacher, data.train_x, data.val_x, cfg, 3)
-        precomputed = n_train == 120 and not flip
-        assert [rows is not None for rows, _ in targets] == [precomputed] * 3
+        assert [rows is not None for rows, _ in targets] == [not flip] * 3
         assert [val is not None for _, val in targets] == [True, True, False]
         a = _student(seed=19)
         result = train_mclwp(a, teacher, data, cfg, StageMask())
@@ -280,7 +281,7 @@ class TestPrecomputedTeacherTargets:
 
     def test_only_validation_rows_under_augmentation(self, bundle, trained_teacher):
         teacher, _ = trained_teacher
-        val_rows = _chunked_rows([teacher.sensing, teacher.synthesis], bundle.val_x, 256)
+        val_rows = _chunked_rows([teacher.sensing, teacher.synthesis], bundle.val_x)
         for aug in ({"flip": True}, {"shift_fraction": 0.25}):
             cfg = TrainConfig(batch_size=16, **aug)
             targets = distill._teacher_targets(teacher, bundle.train_x, bundle.val_x, cfg, 3)
@@ -323,6 +324,18 @@ class TestMclwpPipeline:
         monkeypatch.setattr(distill, "_match", match_that_touches_the_teacher)
         with pytest.raises(StateError, match="teacher parameter"):
             train_mclwp(_student(seed=10), teacher, bundle, quick_cfg, StageMask())
+
+    def test_non_finite_teacher_is_a_typed_error(self, bundle, quick_cfg):
+        # A NaN encoder weight reaches the encoder's mode projection, both in
+        # the targets computed once and in a per-batch teacher run.
+        teacher = build_prior(SIGNAL, MEAS, 3, width=4, seed=0)
+        teacher.sensing.layers[0].w.value[0, 0, 0, 0] = np.nan
+        for run in (lambda: train_mclwp(_student(), teacher, bundle, quick_cfg),
+                    lambda: stage1_transfer(_student(), teacher, bundle.train_x,
+                                            bundle.val_x, quick_cfg)):
+            with pytest.raises(NonFiniteError, match="non-finite") as info:
+                run()
+            assert isinstance(info.value, MclError) and isinstance(info.value, ValueError)
 
     def test_masks_enumerate_eight_distinct(self):
         masks = StageMask.all_masks()

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from mclkit import tensor
-from mclkit.errors import ShapeMismatchError, StateError
+from mclkit.errors import NonFiniteError, ShapeMismatchError, StateError
 from mclkit.layers import (
     Conv2d,
     Dense,
-    Flatten,
     GlobalAvgPool,
     LayerStack,
     MaxPool2,
@@ -111,7 +110,7 @@ def test_mode_projection_rejects_non_finite_input():
     proj = ModeProjection((4, 5, 2), (2, 3, 1), rng=np.random.default_rng(6))
     x = np.zeros((3, 4, 5, 2), dtype=np.float32)
     x[1, 2, 3, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(NonFiniteError, match="non-finite"):
         proj.forward(x)
 
 
@@ -247,8 +246,8 @@ def _fd_cases(rng):
          (3, 2, 3, 1), ("l1", (3, 4, 5, 2)), 1e-6),
         ("global_avg_pool", LayerStack([GlobalAvgPool()], (4, 4, 3)),
          (2, 4, 4, 3), ("l1", (2, 3)), 1e-6),
-        ("flatten", LayerStack([Flatten(), Dense(12, 3, rng, dtype=dt)], (3, 4, 1)),
-         (2, 3, 4, 1), ("cross_entropy", None), 1e-6),
+        ("head_tail", LayerStack([GlobalAvgPool(), Dense(12, 3, rng, dtype=dt)], (1, 2, 12)),
+         (2, 1, 2, 12), ("cross_entropy", None), 1e-6),
     ]
 
 
@@ -311,19 +310,25 @@ def test_conv2d_matches_per_pixel_reference(n, h, w, c, o):
     np.testing.assert_allclose(conv.b.grad, gb, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("c,o,size", [(16, 3, 32), (12, 1, 16)])
-def test_conv2d_sample_bits_do_not_depend_on_the_batch(c, o, size):
-    # One flat GEMM over the whole batch rounds a row by the product's row
-    # count at 16->3; 12->1 is the one-channel output conv, a matrix-vector
-    # product.  Each sample must get its own product.
+@pytest.mark.parametrize("make,sample_shape", [
+    (lambda rng: Conv2d(16, 3, rng=rng), (32, 32, 16)),
+    (lambda rng: Conv2d(12, 1, rng=rng), (16, 16, 12)),
+    (lambda rng: Dense(32, 3, rng), (32,)),
+    (lambda rng: Dense(16, 10, rng), (16,)),
+], ids=["conv2d-16-3", "conv2d-12-1", "dense-32-3", "dense-16-10"])
+def test_sample_bits_do_not_depend_on_the_batch(make, sample_shape):
+    # A matrix product over the whole batch rounds a row by the product's
+    # row count, and a one-row product is a matrix-vector product: each
+    # sample must be computed apart from the others.  Conv 12->1 is the
+    # decoder's one-channel output conv; the dense shapes are heads.
     rng = np.random.default_rng(12)
-    conv = Conv2d(c, o, rng=rng)
-    x = rng.normal(size=(9, size, size, c)).astype(np.float32)
-    out = conv.forward(x)
+    layer = make(rng)
+    x = rng.normal(size=(9,) + sample_shape).astype(np.float32)
+    out = layer.forward(x)
     p = rng.permutation(len(x))
-    assert np.array_equal(conv.forward(x[p]), out[p])
+    assert np.array_equal(layer.forward(x[p]), out[p])
     for i in range(len(x)):
-        assert np.array_equal(conv.forward(x[i : i + 1])[0], out[i]), f"sample {i}"
+        assert np.array_equal(layer.forward(x[i : i + 1])[0], out[i]), f"sample {i}"
 
 
 def test_param_names_are_stable_and_prefixed():

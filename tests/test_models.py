@@ -48,6 +48,20 @@ class TestMeasurementConfig:
         assert str(cfg) == "4x3x1"
 
 
+@pytest.mark.parametrize("build", [
+    partial(build_mcl, fs_kind="multilinear"), partial(build_mcl, fs_kind="nonlinear"), build_prior,
+], ids=["multilinear", "nonlinear", "prior"])
+def test_logits_do_not_depend_on_the_batch(build):
+    # At width 32 the head's dense layer, as a matrix product, rounded a
+    # row by the row count; a sample's logits must not depend on its batch.
+    m = build((32, 32, 3), (6, 6, 1), 10, width=32, seed=0)
+    x = np.random.default_rng(3).random((40, 32, 32, 3), dtype=np.float32)
+    whole = m.forward_logits(x)
+    for block in (1, 5, 32):
+        parts = [m.forward_logits(x[i : i + block]) for i in range(0, len(x), block)]
+        assert np.array_equal(np.concatenate(parts), whole), f"blocks of {block}"
+
+
 class TestBuildMcl:
     def test_multilinear_factor_shapes(self):
         m = build_mcl((32, 32, 3), (6, 6, 1), 10, fs_kind="multilinear", seed=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mclkit import tensor
-from mclkit.errors import ConvergenceError, ShapeMismatchError
+from mclkit.errors import ConvergenceError, NonFiniteError, ShapeMismatchError
 
 
 def rand(rng, *shape):
@@ -49,8 +49,10 @@ class TestModeKProduct:
 
     def test_rejects_non_finite(self):
         t = np.array([[1.0, np.nan]])
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NonFiniteError, match="non-finite"):
             tensor.mode_k_product(t, np.eye(1), 0)
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            tensor.mode_k_product(np.ones((1, 2)), np.array([[np.inf]]), 0)
 
 
 class TestMultiModeProduct:
@@ -158,49 +160,6 @@ class TestUnfold:
             tensor.mode_k_unfold(np.zeros((2, 2)), 4)
 
 
-class TestSvd:
-    def test_diagonal(self):
-        u, s, v = tensor.svd(np.diag([3.0, 1.0]))
-        assert np.allclose(s, [3.0, 1.0])
-        assert np.allclose(np.abs(u), np.eye(2), atol=1e-12)
-        assert np.allclose(np.abs(v), np.eye(2), atol=1e-12)
-
-    def test_rank_one(self):
-        rng = np.random.default_rng(11)
-        a, b = rand(rng, 5), rand(rng, 4)
-        m = np.outer(a, b)
-        _, s, _ = tensor.svd(m)
-        assert abs(s[0] - np.linalg.norm(a) * np.linalg.norm(b)) < 1e-10
-        assert np.all(s[1:] < 1e-10)
-
-    def test_self_consistency_random(self):
-        rng = np.random.default_rng(12)
-        m = rand(rng, 5, 3)
-        u, s, v = tensor.svd(m)
-        assert np.max(np.abs(u @ np.diag(s) @ v.T - m)) < 1e-8
-        assert np.max(np.abs(u.T @ u - np.eye(3))) < 1e-8
-        assert np.max(np.abs(v.T @ v - np.eye(3))) < 1e-8
-        assert np.all(np.diff(s) <= 0)
-        assert np.all(s >= 0)
-
-    def test_reconstruction_up_to_64(self):
-        rng = np.random.default_rng(13)
-        m = rand(rng, 64, 64)
-        u, s, v = tensor.svd(m)
-        rel = np.max(np.abs(u @ np.diag(s) @ v.T - m)) / np.max(np.abs(m))
-        assert rel < 1e-8
-
-    def test_sign_convention_reproducible(self):
-        rng = np.random.default_rng(14)
-        m = rand(rng, 6, 4)
-        u1, _, v1 = tensor.svd(m)
-        u2, _, v2 = tensor.svd(m.copy())
-        assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
-        for j in range(u1.shape[1]):
-            first = u1[np.abs(u1[:, j]) > 1e-12, j]
-            assert first.size == 0 or first[0] >= 0
-
-
 class TestHosvdFactors:
     def test_rank_one_recovery(self):
         rng = np.random.default_rng(15)
@@ -219,6 +178,16 @@ class TestHosvdFactors:
             z = tensor.multi_mode_product(s, factors)
             back = tensor.multi_mode_product(z, [f.T for f in factors])
             assert np.max(np.abs(back - s)) < 1e-6
+
+    def test_sign_convention_reproducible(self):
+        rng = np.random.default_rng(14)
+        samples = rand(rng, 6, 5, 4, 2)
+        first = tensor.hosvd_factors(samples, (3, 2, 2))
+        for f, again in zip(first, tensor.hosvd_factors(samples.copy(), (3, 2, 2))):
+            assert np.array_equal(f, again)
+            for row in f:
+                lead = row[np.abs(row) > 1e-12]
+                assert lead.size == 0 or lead[0] >= 0
 
     def test_orthonormal_rows(self):
         rng = np.random.default_rng(17)
@@ -306,12 +275,12 @@ class TestHosvdFactors:
         samples = rand(np.random.default_rng(24), 5, 4, 3, 2)
         samples[-1, 0, 0, 0] = np.nan
         monkeypatch.setattr(tensor, "_BLOCK_BYTES", 1)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NonFiniteError, match="non-finite"):
             tensor.hosvd_factors(samples, (2, 2, 1))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_gram_overflow_is_value_error(self):
-        with pytest.raises(ValueError, match="overflows"):
+        with pytest.raises(NonFiniteError, match="overflows"):
             tensor.hosvd_factors(np.full((2, 3, 3), 1e200), (1, 1))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -329,15 +298,6 @@ def test_hosvd_svd_failure_is_convergence_error(monkeypatch):
     samples = rand(np.random.default_rng(19), 3, 4, 3, 2)
     with pytest.raises(ConvergenceError):
         tensor.hosvd_factors(samples, (2, 2, 1))
-
-
-def test_svd_failure_is_convergence_error(monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", fail)
-    with pytest.raises(ConvergenceError):
-        tensor.svd(np.eye(3))
 
 
 @pytest.mark.parametrize("budget", [1, 8 * 7 * 12 * 3, 2**30])
