@@ -19,13 +19,17 @@ The package is organised as a small numpy library:
 """
 
 import os as _os
+import sys as _sys
 
-# MCLKIT_THREADS caps worker threads (BLAS pools included); it must be set
-# before numpy spins them up, hence this runs ahead of any numpy import.
-_threads = _os.environ.get("MCLKIT_THREADS")
-if _threads and _threads.isdigit() and int(_threads) >= 1:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
+# Inference runs its chunks on a pool of worker threads (see
+# layers._forward_chunks), and a multithreaded BLAS beside that pool only
+# spins, so BLAS is pinned to one thread.  BLAS reads these variables when
+# numpy loads, hence this runs ahead of any numpy import; a value the user set
+# is kept.  The pool runs only if all of them read "1".
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in _sys.modules:
+    for _var in _BLAS_THREADS:
+        _os.environ.setdefault(_var, "1")
 
 from . import (  # noqa: E402
     checkpoint,

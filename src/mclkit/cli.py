@@ -318,8 +318,8 @@ def _cmd_ablate(args, values, seeds):
 
 
 def main(argv=None) -> int:
-    # mclkit/__init__.py exports the cap to the BLAS pools at import time;
-    # here a bad value is only reported.
+    # MCLKIT_THREADS sets the inference workers when mclkit.layers is
+    # imported, which treats a malformed value as unset; it is reported here.
     threads = os.environ.get("MCLKIT_THREADS")
     if threads is not None and (not threads.isdigit() or int(threads) < 1):
         print(f"mclkit: MCLKIT_THREADS must be a positive integer, got {threads!r}",

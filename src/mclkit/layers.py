@@ -9,14 +9,20 @@ training; inference (``training=False``) writes no layer state.
 Every layer's forward pass computes each sample apart from the other rows of
 its batch, so a sample's output bits do not depend on its batch: how many rows
 it runs with, or which.  Inference may therefore chunk rows freely, and
-outputs computed once equal those of per-batch runs bit for bit.
+outputs computed once equal those of per-batch runs bit for bit.  Because
+inference writes no layer state, the chunks of one call may also run
+concurrently, on a pool of worker threads.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
-from . import tensor
+from . import _BLAS_THREADS, tensor
 from .errors import NonFiniteError, ShapeMismatchError, StateError
 
 __all__ = [
@@ -424,16 +430,82 @@ def _forward_path(stacks, x, training=False):
     return x
 
 
+def _inference_workers():
+    """``MCLKIT_THREADS``, else the usable cores; 1 unless BLAS runs one
+    thread (see ``mclkit/__init__.py``), since a pool beside a multithreaded
+    BLAS is slower than one thread.  ``cli.main`` reports a malformed
+    ``MCLKIT_THREADS``; here it counts as unset."""
+    if any(os.environ.get(var) != "1" for var in _BLAS_THREADS):
+        return 1
+    threads = os.environ.get("MCLKIT_THREADS", "")
+    if threads.isdigit() and int(threads) >= 1:
+        return int(threads)
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_WORKERS = _inference_workers()
+# Rows per chunk: on the calling thread they bound memory, on the pool they
+# also spread the work; an input of fewer values than _POOL_MIN_VALUES stays
+# on the calling thread, where a split costs more than the cores save.
+# Output bits depend on none of these.
+_SERIAL_ROWS = 256
+_POOL_ROWS = 64
+_POOL_MIN_VALUES = 1 << 17
+_pool = None  # (pid, executor): a forked child builds its own
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            _pool = (os.getpid(), ThreadPoolExecutor(_WORKERS, thread_name_prefix="mclkit"))
+        return _pool[1]
+
+
 def _forward_chunks(stacks, x):
     """Inference through a stack pipeline in chunks of rows, written into
-    one output array; an empty input makes one zero-row pass, so the result
-    keeps its sample shape."""
-    chunk = 256  # bounds memory; output bits do not depend on it
-    first = _forward_path(stacks, x[:chunk])
-    if len(x) <= chunk:
-        return first
-    out = np.empty((len(x),) + first.shape[1:], dtype=first.dtype)
-    out[:chunk] = first
-    for i in range(chunk, len(x), chunk):
-        out[i : i + chunk] = _forward_path(stacks, x[i : i + chunk])
+    one output array.
+
+    An input of at least ``_POOL_MIN_VALUES`` values is split into equal
+    chunks of at most ``_POOL_ROWS`` rows, their count a multiple of the
+    worker count, which run on the worker pool; if chunks fail, the first
+    failing one in row order raises.  Other inputs run on the calling thread.
+    An empty input makes one zero-row pass, so the result keeps its sample
+    shape.
+    """
+    x = np.asarray(x)
+    n = len(x)
+    workers = min(_WORKERS, n) if x.size >= _POOL_MIN_VALUES else 1
+    if workers > 1:
+        k = workers * -(-n // (_POOL_ROWS * workers))
+    else:
+        k = -(-n // _SERIAL_ROWS)
+    if k <= 1:
+        return _forward_path(stacks, x)
+    bounds = [n * i // k for i in range(k + 1)]
+    first = _forward_path(stacks, x[:0])  # gives the output's sample shape and dtype
+    out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
+
+    def run(lo, hi):
+        out[lo:hi] = _forward_path(stacks, x[lo:hi])
+
+    if workers == 1:
+        for lo, hi in zip(bounds, bounds[1:]):
+            run(lo, hi)
+        return out
+    pool = _executor()
+    futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    try:
+        for f in futures:
+            f.result()
+    finally:
+        # after a failure, chunks not yet started are dropped, and none still
+        # writes to `out` once this returns
+        for f in futures:
+            f.cancel()
+        wait(futures)
     return out

@@ -50,6 +50,16 @@ def _train_prior(dataset_dir, config_file, out, seed="0"):
     ])
 
 
+def _run_python(code, env, check=True, cwd=None):
+    """Run ``code`` in a fresh interpreter with ``env`` in place of every
+    thread variable of the caller."""
+    base = {k: v for k, v in os.environ.items() if k not in (
+        "MCLKIT_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    base.update(env, PYTHONPATH=str(Path(mclkit.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=base, capture_output=True,
+                          text=True, timeout=60, check=check, cwd=cwd)
+
+
 class TestValidation:
     def test_missing_dataset_exits_2(self, tmp_path, config_file):
         code = main(["train-prior", "--dataset", str(tmp_path / "nope"),
@@ -149,18 +159,35 @@ class TestValidation:
         monkeypatch.setenv("MCLKIT_THREADS", "lots")
         assert main(["train-prior", "--dataset", "x", "--out", "y"]) == 2
 
-    def test_thread_cap_exported(self):
-        # The cap only takes effect if it is in the environment before numpy
-        # starts its BLAS pool, that is, when the package is imported.
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-        env.update(MCLKIT_THREADS="1", PYTHONPATH=str(Path(mclkit.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import mclkit, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
-            env=env, capture_output=True, text=True, timeout=60, check=True,
-        )
-        assert done.stdout.strip() == "1"
+    @pytest.mark.parametrize("env,imports,expected", [
+        # ahead of numpy, mclkit pins BLAS to one thread and runs a worker per core
+        ({}, "import mclkit, numpy", "1 cores"),
+        # after numpy, BLAS may run many threads, so inference stays serial
+        ({}, "import numpy, mclkit", "None 1"),
+        ({"OPENBLAS_NUM_THREADS": "3", "MCLKIT_THREADS": "2"}, "import mclkit", "3 1"),
+        ({"MCLKIT_THREADS": "1"}, "import mclkit", "1 1"),
+        ({"MCLKIT_THREADS": "2"}, "import numpy, mclkit", "None 1"),
+        ({"MCLKIT_THREADS": "2"}, "import mclkit", "1 2"),
+        ({"MCLKIT_THREADS": "2", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "1"}, "import numpy, mclkit", "1 2"),
+    ], ids=["mclkit-first", "numpy-first", "user-blas-3", "one-worker", "two-workers-numpy-first",
+            "two-workers", "user-blas-1-numpy-first"])
+    def test_thread_policy(self, env, imports, expected):
+        # BLAS reads its thread count once, when numpy loads, so each case
+        # needs a fresh interpreter.
+        done = _run_python(
+            f"{imports}, os; from mclkit import layers; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), layers._WORKERS)", env)
+        assert done.stdout.split() == expected.replace(
+            "cores", str(len(os.sched_getaffinity(0)))).split()
+
+    def test_malformed_thread_count_exits_2_on_a_fresh_import(self, tmp_path):
+        done = _run_python(
+            "import sys; from mclkit.cli import main; "
+            "sys.exit(main(['train-prior', '--dataset', 'x', '--out', 'y']))",
+            {"MCLKIT_THREADS": "lots"}, check=False, cwd=tmp_path)
+        assert done.returncode == 2 and "MCLKIT_THREADS" in done.stderr
+        assert not (tmp_path / "y").exists()
 
     @pytest.mark.parametrize("line", ["epochs=abc", "flip=maybe", "lr_switch_epochs=x"])
     def test_unparsable_config_value_exits_2(self, dataset_dir, config_file, tmp_path, line):

@@ -1,12 +1,16 @@
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
-from mclkit import tensor
+from mclkit import layers, tensor
 from mclkit.errors import NonFiniteError, ShapeMismatchError, StateError
 from mclkit.layers import (
     Conv2d,
     Dense,
     GlobalAvgPool,
+    Layer,
     LayerStack,
     MaxPool2,
     ModeProjection,
@@ -338,3 +342,87 @@ def test_param_names_are_stable_and_prefixed():
     assert [p.name for p in stack.params] == [
         "head.0.w", "head.0.b", "head.3.w", "head.3.b",
     ]
+
+
+class _FailNegative(Layer):
+    """Identity that raises, naming the first row whose first value is negative."""
+
+    kind = "fail_negative"
+
+    def out_shape(self, in_shape):
+        return in_shape
+
+    def forward(self, x, training=False):
+        bad = np.flatnonzero(x[:, 0] < 0)
+        if len(bad):
+            raise ValueError(f"row value {x[bad[0], 0]:g}")
+        return x
+
+
+def test_pool_raises_the_first_failing_chunk(monkeypatch):
+    monkeypatch.setattr(layers, "_WORKERS", 2)
+    stack = LayerStack([_FailNegative()], (512,))
+    x = np.ones((257, 512), dtype=np.float32)  # six 42- or 43-row chunks
+    x[:, 0] = np.arange(257)
+    x[[100, 200], 0] *= -1  # fail chunks 2 and 4
+    for _ in range(3):
+        with pytest.raises(ValueError, match="row value -100$"):
+            layers._forward_chunks([stack], x)
+    x[[100, 200], 0] *= -1
+    assert np.array_equal(layers._forward_chunks([stack], x), x)
+
+
+def test_pool_raises_non_finite_from_a_later_chunk(monkeypatch):
+    monkeypatch.setattr(layers, "_WORKERS", 2)
+    stack = LayerStack([ModeProjection((16, 16, 2), (4, 4, 1), rng=np.random.default_rng(0))],
+                       (16, 16, 2))
+    x = np.random.default_rng(1).random((257, 16, 16, 2), dtype=np.float32)
+    x[250, 3, 4, 1] = np.nan
+    with pytest.raises(NonFiniteError):
+        layers._forward_chunks([stack], x)
+
+
+def _forward_in_child(stack, x, expected):
+    got = layers._forward_chunks([stack], x)
+    if not np.array_equal(got, expected):
+        raise SystemExit(1)
+
+
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    # A forked child has none of the parent's pool threads; a pool inherited
+    # from the parent would take its chunks and never run them.
+    monkeypatch.setattr(layers, "_WORKERS", 2)
+    stack = LayerStack([Conv2d(2, 3, rng=np.random.default_rng(0)), ReLU()], (16, 16, 2))
+    x = np.random.default_rng(1).random((300, 16, 16, 2), dtype=np.float32)
+    expected = layers._forward_chunks([stack], x)
+    assert layers._pool is not None  # the parent's pool exists before the fork
+    child = multiprocessing.get_context("fork").Process(
+        target=_forward_in_child, args=(stack, x, expected))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child's forward pass did not return within 60 s")
+    assert child.exitcode == 0
+
+
+def test_pooled_chunks_run_on_the_pool(monkeypatch):
+    ran_on = set()
+    forward_path = layers._forward_path
+
+    def spy(stacks, x, training=False):
+        ran_on.add(threading.current_thread().name.startswith("mclkit"))
+        return forward_path(stacks, x, training)
+
+    monkeypatch.setattr(layers, "_forward_path", spy)
+    stack = LayerStack([ReLU()], (512,))
+    monkeypatch.setattr(layers, "_WORKERS", 2)
+    layers._forward_chunks([stack], np.ones((255, 512), dtype=np.float32))
+    assert ran_on == {False}, "below 2**17 values a pass stays on the calling thread"
+    layers._forward_chunks([stack], np.ones((257, 512), dtype=np.float32))
+    assert True in ran_on
+    ran_on.clear()
+    monkeypatch.setattr(layers, "_WORKERS", 1)
+    layers._forward_chunks([stack], np.ones((1000, 512), dtype=np.float32))
+    assert ran_on == {False}

@@ -3,7 +3,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mclkit import tensor
+from mclkit import layers, tensor
+from mclkit.distill import self_label_select
 from mclkit.errors import ConfigError, ShapeMismatchError
 from mclkit.layers import MaxPool2, ModeProjection
 from mclkit.models import MeasurementConfig, build_mcl, build_prior, hosvd_init
@@ -60,6 +61,27 @@ def test_logits_do_not_depend_on_the_batch(build):
     for block in (1, 5, 32):
         parts = [m.forward_logits(x[i : i + block]) for i in range(0, len(x), block)]
         assert np.array_equal(np.concatenate(parts), whole), f"blocks of {block}"
+
+
+@pytest.mark.parametrize("build", [
+    partial(build_mcl, fs_kind="multilinear"), partial(build_mcl, fs_kind="nonlinear"), build_prior,
+], ids=["multilinear", "nonlinear", "prior"])
+def test_worker_count_does_not_change_output_bytes(build, monkeypatch):
+    # 32x32x2 signals: from 64 rows an input holds 2**17 values and runs on
+    # the pool in chunks of at most 64 rows.
+    m = build((32, 32, 2), (6, 6, 1), 3, width=4, seed=0)
+    x = np.random.default_rng(4).random((257, 32, 32, 2), dtype=np.float32)
+
+    def outputs(n):
+        idx, labels = self_label_select(m, x[:n], 0.34)
+        return [a.tobytes() for a in (m.measurements(x[:n]), m.features(x[:n]),
+                                      m.forward_logits(x[:n]), idx, labels)]
+
+    for n in (0, 1, 5, 63, 65, 130, 257):
+        monkeypatch.setattr(layers, "_WORKERS", 1)
+        serial = outputs(n)
+        monkeypatch.setattr(layers, "_WORKERS", 2)
+        assert outputs(n) == serial, f"{n} rows"
 
 
 class TestBuildMcl:
