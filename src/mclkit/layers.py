@@ -132,38 +132,40 @@ class Dense(Layer):
 _BLOCK_ROWS = 1024
 
 
-def _columns(xp):
-    """Yield ``(start, stop, cols)`` over blocks of whole padded samples:
-    ``cols[s, y * W + x]`` is the 3×3 patch at output pixel ``(y, x)`` of
-    sample ``start + s``, tap-major then channel, so it multiplies a kernel
-    of shape ``(3, 3, C, O)`` reshaped to ``(9C, O)``.  All blocks share one
-    buffer, so each ``cols`` is valid until the next one is made."""
-    n, hp, wp, c = xp.shape
-    h, w = hp - 2, wp - 2
+def _columns(x):
+    """Yield ``(start, stop, cols)`` over blocks of whole samples of the
+    unpadded batch ``x``: ``cols[s, y * W + x]`` is the zero-padded 3×3 patch
+    at output pixel ``(y, x)`` of sample ``start + s``, tap-major then
+    channel, so it multiplies a kernel of shape ``(3, 3, C, O)`` reshaped to
+    ``(9C, O)``.  Padding happens per block: each block's samples are copied
+    into one zero-bordered buffer, and one column buffer is shared by all
+    blocks, so each ``cols`` is valid until the next one is made.  Both
+    buffers belong to the call, since pooled inference runs one layer on
+    several threads at once."""
+    n, h, w, c = x.shape
     step = max(1, _BLOCK_ROWS // (h * w))
-    buf = np.empty((min(step, n), h, w, 3, 3, c), dtype=xp.dtype)
+    m = min(step, n)
+    xp = np.zeros((m, h + 2, w + 2, c), dtype=x.dtype)
+    buf = np.empty((m, h, w, 3, 3, c), dtype=x.dtype)
     taps = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
     taps = taps.transpose(0, 1, 2, 4, 5, 3)
     for i in range(0, n, step):
         j = min(i + step, n)
-        np.copyto(buf[: j - i], taps[i:j])
+        xp[: j - i, 1:-1, 1:-1] = x[i:j]
+        np.copyto(buf[: j - i], taps[: j - i])
         yield i, j, buf[: j - i].reshape(j - i, h * w, 9 * c)
 
 
-def _correlate(xp, wmat):
-    """3×3 'valid' correlation of the padded batch ``xp`` with ``wmat``, a
-    ``(9C, O)`` kernel matrix: one stacked product per block, one GEMM per
-    sample."""
-    n, hp, wp, _ = xp.shape
+def _correlate(x, wmat):
+    """3×3 'same' correlation of the unpadded batch ``x`` with ``wmat``, a
+    ``(9C, O)`` kernel matrix, zero padded per block (see :func:`_columns`):
+    one stacked product per block, one GEMM per sample."""
+    n, h, w, _ = x.shape
     o = wmat.shape[1]
-    out = np.empty((n, hp - 2, wp - 2, o), dtype=xp.dtype)
-    for i, j, cols in _columns(xp):
+    out = np.empty((n, h, w, o), dtype=x.dtype)
+    for i, j, cols in _columns(x):
         np.matmul(cols, wmat, out=out[i:j].reshape(j - i, -1, o))
     return out
-
-
-def _pad1(x):
-    return np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
 
 
 class Conv2d(Layer):
@@ -192,25 +194,24 @@ class Conv2d(Layer):
         return (in_shape[0], in_shape[1], self.out_channels)
 
     def forward(self, x, training=False):
-        xp = _pad1(x)
-        out = _correlate(xp, self.w.value.reshape(-1, self.out_channels))
+        out = _correlate(x, self.w.value.reshape(-1, self.out_channels))
         out += self.b.value
         if training:
-            self._cache = xp
+            self._cache = x
         return out
 
     def backward(self, grad):
-        xp = self._take_cache()
+        x = self._take_cache()
         n, h, w, o = grad.shape
         g = grad.reshape(n, h * w, o)
-        for i, j, cols in _columns(xp):
+        for i, j, cols in _columns(x):
             gw = cols.reshape(-1, cols.shape[2]).T @ g[i:j].reshape(-1, o)
             self.w.grad += gw.reshape(self.w.grad.shape)
         self.b.grad += grad.sum(axis=(0, 1, 2))
-        # the input gradient correlates the padded output gradient with the
-        # kernel turned 180° and its channel axes swapped
+        # the input gradient is the 'same' correlation of the output gradient
+        # with the kernel turned 180° and its channel axes swapped
         flipped = self.w.value[::-1, ::-1].transpose(0, 1, 3, 2)
-        return _correlate(_pad1(grad), flipped.reshape(-1, self.in_channels))
+        return _correlate(grad, flipped.reshape(-1, self.in_channels))
 
 
 class ReLU(Layer):
@@ -230,7 +231,12 @@ class ReLU(Layer):
 
 
 class MaxPool2(Layer):
-    """2x2 max pooling, stride 2; odd edges drop out and a tie goes to the first maximum."""
+    """2x2 max pooling, stride 2; odd edges drop out and a tie goes to the first maximum.
+
+    The maximum is copied bit for bit, through unsigned integer views of the
+    same item size, so signed zeros and NaN payloads pass through unchanged;
+    the backward pass routes the gradient's bits the same way.
+    """
 
     kind = "maxpool2"
 
@@ -245,14 +251,23 @@ class MaxPool2(Layer):
         return [a[:, i:h:2, j:w:2] for i in (0, 1) for j in (0, 1)]
 
     def forward(self, x, training=False):
-        out, *rest = self._views(x)
+        u = np.dtype(f"u{x.dtype.itemsize}")
+        head, *rest = self._views(x)
+        out = head.copy()
+        bits = out.view(u)
         first = np.zeros(out.shape, dtype=np.uint8) if training else None  # view of the maximum
         for k, t in enumerate(rest, 1):
             # argmax order: t wins if strictly larger, or if it is the tile's first NaN
             later = ~(t <= out) & (out == out)
-            out = np.where(later, t, out)
+            # select by masks of all-ones where t wins: three-operand
+            # np.where costs several times as much
+            m = np.negative(later, dtype=u)
+            bits &= ~m
+            bits |= t.view(u) & m
             if training:
-                first = np.where(later, np.uint8(k), first)
+                m = np.negative(later, dtype=np.uint8)
+                first &= ~m
+                first |= m & np.uint8(k)
         if training:
             self._cache = (x.shape, first)
         return out
@@ -260,8 +275,10 @@ class MaxPool2(Layer):
     def backward(self, grad):
         shape, first = self._take_cache()
         gx = np.zeros(shape, dtype=grad.dtype)
+        u = np.dtype(f"u{grad.dtype.itemsize}")
+        bits = grad.view(u)
         for k, view in enumerate(self._views(gx)):
-            view[...] = np.where(first == k, grad, 0)
+            np.bitwise_and(bits, np.negative(first == k, dtype=u), out=view.view(u))
         return gx
 
 

@@ -189,14 +189,21 @@ def _maxpool_bytes(x, grad):
 
 @pytest.mark.parametrize("shape", [(32, 32, 16), (16, 16, 12), (31, 31, 5)])
 def test_maxpool_matches_per_tile_reference(shape):
-    rng = np.random.default_rng(sum(shape))
-    # Post-ReLU values on a coarse grid, so tiles tie at zero and elsewhere.
-    x = np.maximum(np.round(rng.normal(size=(2, *shape)) * 2) / 2, 0).astype(np.float32)
-    x[0, 0, 0] = -0.0
-    grad = rng.normal(size=(2, shape[0] // 2, shape[1] // 2, shape[2])).astype(np.float32)
-    out, gx = _maxpool_reference(x, grad)
-    assert _maxpool_bytes(x, grad) == (out.tobytes(), gx.tobytes())
-    assert MaxPool2().forward(x).tobytes() == out.tobytes()
+    # float32 and float64 pin both unsigned view widths of the bit select
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(sum(shape))
+        # Post-ReLU values on a coarse grid, so tiles tie at zero and elsewhere,
+        # with scattered ±inf, NaN and -0.0 in the input and the gradient.
+        x = np.maximum(np.round(rng.normal(size=(2, *shape)) * 2) / 2, 0)
+        x[0, 0, 0] = -0.0
+        grad = rng.normal(size=(2, shape[0] // 2, shape[1] // 2, shape[2]))
+        for a in (x, grad):
+            hit = rng.random(a.shape) < 0.05
+            a[hit] = rng.choice([np.inf, -np.inf, np.nan, -0.0], size=hit.sum())
+        x, grad = x.astype(dtype), grad.astype(dtype)
+        out, gx = _maxpool_reference(x, grad)
+        assert _maxpool_bytes(x, grad) == (out.tobytes(), gx.tobytes()), dtype
+        assert MaxPool2().forward(x).tobytes() == out.tobytes(), dtype
 
 
 def test_maxpool_ties_route_to_first_maximum():
@@ -312,6 +319,61 @@ def test_conv2d_matches_per_pixel_reference(n, h, w, c, o):
     np.testing.assert_allclose(gin, gx, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(conv.w.grad, gw, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(conv.b.grad, gb, rtol=1e-12, atol=1e-12)
+
+
+def _conv_padded_batch(conv, x, g):
+    """Conv2d padding the whole batch once: ``np.pad``, then one
+    ``sliding_window_view`` column copy and one stacked matmul per
+    ``_BLOCK_ROWS`` block.  Returns output, input, kernel and bias gradients."""
+    def correlate(xp, wmat):
+        n, hp, wp, c = xp.shape
+        h, w, o = hp - 2, wp - 2, wmat.shape[1]
+        step = max(1, layers._BLOCK_ROWS // (h * w))
+        taps = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+        taps = taps.transpose(0, 1, 2, 4, 5, 3)
+        out = np.empty((n, h, w, o), dtype=xp.dtype)
+        blocks = []
+        for i in range(0, n, step):
+            j = min(i + step, n)
+            cols = np.ascontiguousarray(taps[i:j]).reshape(j - i, h * w, 9 * c)
+            out[i:j] = np.matmul(cols, wmat).reshape(j - i, h, w, o)
+            blocks.append((i, j, cols))
+        return out, blocks
+
+    def pad(a):
+        return np.pad(a, ((0, 0), (1, 1), (1, 1), (0, 0)))
+
+    w, b = conv.w.value, conv.b.value
+    out, blocks = correlate(pad(x), w.reshape(-1, w.shape[3]))
+    out += b
+    gw, gb = np.zeros_like(w), np.zeros_like(b)
+    n, h, wd, o = g.shape
+    for i, j, cols in blocks:
+        gw += (cols.reshape(-1, cols.shape[2]).T @ g[i:j].reshape(-1, o)).reshape(w.shape)
+    gb += g.sum(axis=(0, 1, 2))
+    flipped = w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, w.shape[2])
+    return out, correlate(pad(g), flipped)[0], gw, gb
+
+
+@pytest.mark.parametrize("n,h,w,c,o", [
+    (3, 32, 32, 3, 16), (3, 32, 32, 16, 16), (5, 16, 16, 1, 12),
+    (40, 7, 5, 2, 3),  # 40 samples of 35 rows span two blocks
+    (1, 7, 5, 2, 3), (0, 7, 5, 2, 3),
+])
+def test_conv2d_bits_match_whole_batch_padding(n, h, w, c, o):
+    # Padding per block must not change a bit of any output or gradient.
+    rng = np.random.default_rng(13)
+    conv = Conv2d(c, o, rng=rng)
+    conv.b.value[...] = rng.normal(size=o)
+    x = rng.normal(size=(n, h, w, c)).astype(np.float32)
+    g = rng.normal(size=(n, h, w, o)).astype(np.float32)
+    expected = _conv_padded_batch(conv, x, g)
+    out = conv.forward(x, training=True)
+    gx = conv.backward(g)
+    got = (out, gx, conv.w.grad, conv.b.grad)
+    for name, a, e in zip(("output", "input grad", "w.grad", "b.grad"), got, expected):
+        assert a.dtype == e.dtype and a.shape == e.shape, name
+        assert a.tobytes() == e.tobytes(), name
 
 
 @pytest.mark.parametrize("make,sample_shape", [
