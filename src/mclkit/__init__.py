@@ -4,7 +4,7 @@ transfer and semi-supervised self-labeling.
 The package is organised as a small numpy library:
 
 * :mod:`mclkit.tensor` — mode-k products, unfoldings, Kronecker identities,
-  SVD and truncated per-mode factor extraction;
+  and truncated per-mode (HOSVD) factor extraction;
 * :mod:`mclkit.layers` / :mod:`mclkit.losses` — a minimal differentiable
   layer stack with finite-difference-checkable gradients;
 * :mod:`mclkit.models` — the multilinear student, the nonlinear teacher,

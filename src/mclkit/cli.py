@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -318,13 +317,6 @@ def _cmd_ablate(args, values, seeds):
 
 
 def main(argv=None) -> int:
-    # MCLKIT_THREADS sets the inference workers when mclkit.layers is
-    # imported, which treats a malformed value as unset; it is reported here.
-    threads = os.environ.get("MCLKIT_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print(f"mclkit: MCLKIT_THREADS must be a positive integer, got {threads!r}",
-              file=sys.stderr)
-        return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -11,14 +11,16 @@ its batch, so a sample's output bits do not depend on its batch: how many rows
 it runs with, or which.  Inference may therefore chunk rows freely, and
 outputs computed once equal those of per-batch runs bit for bit.  Because
 inference writes no layer state, the chunks of one call may also run
-concurrently, on a pool of worker threads.
+concurrently, on a pool of worker threads that the call makes and shuts down:
+one thread per core in the process's affinity mask (``taskset`` caps it), and
+a single thread unless BLAS is pinned to one (see ``mclkit/__init__.py``).
+No pool outlives its call, so a forked child inherits none.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -448,15 +450,11 @@ def _forward_path(stacks, x, training=False):
 
 
 def _inference_workers():
-    """``MCLKIT_THREADS``, else the usable cores; 1 unless BLAS runs one
-    thread (see ``mclkit/__init__.py``), since a pool beside a multithreaded
-    BLAS is slower than one thread.  ``cli.main`` reports a malformed
-    ``MCLKIT_THREADS``; here it counts as unset."""
+    """The cores in this process's affinity mask, which ``taskset`` or a
+    cpuset caps; 1 unless BLAS runs one thread (see ``mclkit/__init__.py``),
+    since a pool beside a multithreaded BLAS is slower than one thread."""
     if any(os.environ.get(var) != "1" for var in _BLAS_THREADS):
         return 1
-    threads = os.environ.get("MCLKIT_THREADS", "")
-    if threads.isdigit() and int(threads) >= 1:
-        return int(threads)
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -471,16 +469,6 @@ _WORKERS = _inference_workers()
 _SERIAL_ROWS = 256
 _POOL_ROWS = 64
 _POOL_MIN_VALUES = 1 << 17
-_pool = None  # (pid, executor): a forked child builds its own
-_pool_lock = threading.Lock()
-
-
-def _executor():
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            _pool = (os.getpid(), ThreadPoolExecutor(_WORKERS, thread_name_prefix="mclkit"))
-        return _pool[1]
 
 
 def _forward_chunks(stacks, x):
@@ -492,7 +480,7 @@ def _forward_chunks(stacks, x):
     worker count, which run on the worker pool; if chunks fail, the first
     failing one in row order raises.  Other inputs run on the calling thread.
     An empty input makes one zero-row pass, so the result keeps its sample
-    shape.
+    shape; an empty path returns ``x`` itself.
     """
     x = np.asarray(x)
     n = len(x)
@@ -501,7 +489,7 @@ def _forward_chunks(stacks, x):
         k = workers * -(-n // (_POOL_ROWS * workers))
     else:
         k = -(-n // _SERIAL_ROWS)
-    if k <= 1:
+    if k <= 1 or not stacks:
         return _forward_path(stacks, x)
     bounds = [n * i // k for i in range(k + 1)]
     first = _forward_path(stacks, x[:0])  # gives the output's sample shape and dtype
@@ -514,15 +502,9 @@ def _forward_chunks(stacks, x):
         for lo, hi in zip(bounds, bounds[1:]):
             run(lo, hi)
         return out
-    pool = _executor()
-    futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    try:
-        for f in futures:
-            f.result()
-    finally:
-        # after a failure, chunks not yet started are dropped, and none still
-        # writes to `out` once this returns
-        for f in futures:
-            f.cancel()
-        wait(futures)
+    # map raises the first failing chunk in row order and drops the chunks
+    # not yet started; leaving the block waits for the running ones, so none
+    # still writes to `out` once this returns
+    with ThreadPoolExecutor(workers, thread_name_prefix="mclkit") as pool:
+        list(pool.map(run, bounds[:-1], bounds[1:]))
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError
 
 __all__ = [
     "softmax",
@@ -49,7 +49,7 @@ def cross_entropy(logits, label):
     if labels.shape != (n,):
         raise ShapeMismatchError(f"expected {n} labels, got shape {labels.shape}")
     if labels.min() < 0 or labels.max() >= c:
-        raise ValueError(f"label out of range for {c} classes")
+        raise ShapeMismatchError(f"label out of range for {c} classes")
     shifted = z - z.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1))
     per_sample = logsumexp - shifted[np.arange(n), labels]
@@ -114,7 +114,7 @@ def _loss_for_check(kind, out, target):
     elif kind == "symmetric_kl":
         loss, _, g = symmetric_kl(target, out)
     else:
-        raise ValueError(f"unknown loss kind {kind!r}")
+        raise ConfigError(f"unknown loss kind {kind!r}")
     return loss, g
 
 

@@ -308,7 +308,7 @@ def hosvd_init(model: MclModel, train_samples) -> None:
     """
     samples = np.asarray(train_samples)
     if samples.ndim != len(model.signal_shape) + 1 or samples.shape[0] == 0:
-        raise ValueError("hosvd_init needs a non-empty batch of signal-shaped samples")
+        raise ShapeMismatchError("hosvd_init needs a non-empty batch of signal-shaped samples")
     if samples.shape[1:] != model.signal_shape:
         raise ShapeMismatchError(
             f"samples of shape {samples.shape[1:]} do not match signal "

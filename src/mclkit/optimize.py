@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, TrainingDivergedError
 from .layers import LayerStack, _forward_chunks, _forward_path
 from .losses import cross_entropy, l1_loss, symmetric_kl
+from .models import _is_count
 
 __all__ = [
     "TrainConfig",
@@ -59,8 +60,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "epochs_per_round", "self_label_round_cap"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
         if len(self.lr_values) != len(self.lr_switch_epochs) + 1:
             raise ConfigError("need one more lr value than switch epochs")
         switches = tuple(self.lr_switch_epochs)
@@ -79,8 +81,9 @@ class TrainConfig:
             raise ConfigError("confidence_threshold must lie in (0, 1)")
         if not 0 <= self.shift_fraction < 1:
             raise ConfigError("shift_fraction must lie in [0, 1)")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        seed = self.seed
+        if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
+            raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
 
     @classmethod
     def full_schedule(cls, **overrides) -> "TrainConfig":

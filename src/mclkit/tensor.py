@@ -196,7 +196,7 @@ def hosvd_factors(samples, target_dims: Sequence[int]) -> list[np.ndarray]:
     """
     stack = np.asarray(samples)
     if stack.ndim < 2 or stack.shape[0] == 0:
-        raise ValueError("hosvd_factors needs a non-empty list of tensors")
+        raise ShapeMismatchError("hosvd_factors needs a non-empty list of tensors")
     shape = stack.shape[1:]
     target_dims = tuple(int(d) for d in target_dims)
     if len(target_dims) != len(shape):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mclkit import layers, tensor
-from mclkit.errors import NonFiniteError, ShapeMismatchError, StateError
+from mclkit.errors import ConfigError, NonFiniteError, ShapeMismatchError, StateError
 from mclkit.layers import (
     Conv2d,
     Dense,
@@ -284,6 +284,8 @@ def test_conv_stack_cross_entropy_finite_differences():
     )
     x = rng.normal(size=(2, 8, 8, 2))
     assert grad_check(stack, "cross_entropy", x, np.array([0, 3])) < 1e-4
+    with pytest.raises(ConfigError, match="unknown loss kind 'hinge'"):
+        grad_check(stack, "hinge", x, np.array([0, 3]))
 
 
 def _conv_reference(x, w, b, g):
@@ -451,13 +453,12 @@ def _forward_in_child(stack, x, expected):
 
 
 def test_forked_child_builds_its_own_pool(monkeypatch):
-    # A forked child has none of the parent's pool threads; a pool inherited
-    # from the parent would take its chunks and never run them.
+    # A forked child has none of the parent's threads; a pool it inherited
+    # would take its chunks and never run them.
     monkeypatch.setattr(layers, "_WORKERS", 2)
     stack = LayerStack([Conv2d(2, 3, rng=np.random.default_rng(0)), ReLU()], (16, 16, 2))
     x = np.random.default_rng(1).random((300, 16, 16, 2), dtype=np.float32)
     expected = layers._forward_chunks([stack], x)
-    assert layers._pool is not None  # the parent's pool exists before the fork
     child = multiprocessing.get_context("fork").Process(
         target=_forward_in_child, args=(stack, x, expected))
     child.start()
@@ -488,3 +489,8 @@ def test_pooled_chunks_run_on_the_pool(monkeypatch):
     monkeypatch.setattr(layers, "_WORKERS", 1)
     layers._forward_chunks([stack], np.ones((1000, 512), dtype=np.float32))
     assert ran_on == {False}
+
+
+def test_empty_path_returns_its_input():
+    x = np.ones((300, 512), dtype=np.float32)  # enough rows and values to chunk or pool
+    assert layers._forward_chunks((), x) is x

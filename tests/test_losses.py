@@ -50,7 +50,7 @@ class TestCrossEntropy:
             assert np.max(np.abs(grad[i] * 4 - singles[i][1])) < 1e-12
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError):
             cross_entropy(np.zeros(3), 7)
 
 

@@ -240,7 +240,7 @@ class TestHosvdInit:
 
     def test_errors(self):
         m = build_mcl((8, 8, 1), (3, 3, 1), 4, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError):
             hosvd_init(m, np.zeros((0, 8, 8, 1)))
         with pytest.raises(ShapeMismatchError):
             hosvd_init(m, np.zeros((4, 8, 7, 1)))

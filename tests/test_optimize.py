@@ -55,7 +55,10 @@ class TestTrainConfig:
                     dict(lr_values=(math.nan, 1e-4, 1e-5)), dict(lr_values=(-1.0, 1e-4, 1e-5)),
                     dict(lr_values=(1e-3, math.inf, 1e-5)), dict(lr_values=(1e-3, 1e-4, 0.0)),
                     dict(self_label_round_cap=0), dict(self_label_round_cap=-3),
-                    dict(seed=-1)):
+                    dict(seed=-1), dict(seed=1.5), dict(seed=True), dict(batch_size=2.5),
+                    dict(epochs_per_round=1.5), dict(self_label_round_cap=2.5),
+                    dict(epochs="3"),
+                    dict(epochs=True, lr_switch_epochs=(), lr_values=(1e-3,))):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
 

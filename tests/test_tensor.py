@@ -218,7 +218,7 @@ class TestHosvdFactors:
             assert hosvd_err <= recon_err(randoms) + 1e-9
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError):
             tensor.hosvd_factors(np.zeros((0, 2, 2)), (1, 1))
         with pytest.raises(ShapeMismatchError, match="mode 0"):
             tensor.hosvd_factors(np.zeros((3, 2, 2)), (5, 1))
