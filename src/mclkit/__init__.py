@@ -25,7 +25,7 @@ import sys as _sys
 # layers._forward_chunks), and a multithreaded BLAS beside that pool only
 # spins, so BLAS is pinned to one thread.  BLAS reads these variables when
 # numpy loads, hence this runs ahead of any numpy import; a value the user set
-# is kept.  The pool runs only if all of them read "1".
+# is kept.  The pool has more than one worker only if all of them read "1".
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in _sys.modules:
     for _var in _BLAS_THREADS:

@@ -262,11 +262,8 @@ def stage3_transfer(student: MclModel, teacher, x, y, val_x, val_y,
                     cfg: TrainConfig) -> TrainHistory:
     """Discriminative training with a symmetric-KL pull toward the teacher's
     predictions (weighted by ``cfg.distill_weight``; the teacher's raw
-    predictions are used directly, no temperature)."""
-    return _stage3(student, teacher, x, y, val_x, val_y, cfg)
-
-
-def _stage3(student, teacher, x, y, val_x, val_y, cfg, labeled_logits=None):
+    predictions are used directly, no temperature).  ``y`` is the labels, or
+    :meth:`SupervisedObjective.pack` of them and the teacher's logits on ``x``."""
     if teacher.n_classes != student.n_classes:
         raise ConfigError(
             f"class counts differ: student {student.n_classes}, teacher {teacher.n_classes}"
@@ -274,7 +271,7 @@ def _stage3(student, teacher, x, y, val_x, val_y, cfg, labeled_logits=None):
     copy_stack_params(teacher.head, student.head)
     return train(
         SupervisedObjective(student.stacks(), teacher.stacks(), cfg.distill_weight),
-        x, y if labeled_logits is None else labeled_logits, val_x, val_y, cfg,
+        x, y, val_x, val_y, cfg,
     )
 
 
@@ -348,14 +345,10 @@ def _transfer(students, masks, teacher, bundle, cfg, pool_x=()):
     prefix_stages = _train_prefixes(students, masks, teacher, x, val_x, cfg, targets)
     logits = targets[2][0] if pull else None
     del targets  # the features are the largest rows; no final stage reads them
-    labeled = None  # the labels packed with the teacher's logits, for the pull
-    if logits is not None:
-        labeled = np.empty(len(y), dtype=[("label", y.dtype),
-                                          ("teacher_logits", logits.dtype, logits.shape[1:])])
-        labeled["label"], labeled["teacher_logits"] = y, logits
+    pull_y = y if logits is None else SupervisedObjective.pack(y, logits)
     for mask, student, stages in zip(masks, students, prefix_stages):
         if mask.distill:
-            final = _stage3(student, teacher, x, y, val_x, val_y, cfg, labeled)
+            final = stage3_transfer(student, teacher, x, pull_y, val_x, val_y, cfg)
         else:
             # Only the teacher-prediction pull is dropped; plain inference
             # training still runs, from whatever the earlier stages left behind.

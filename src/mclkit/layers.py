@@ -10,11 +10,11 @@ Every layer's forward pass computes each sample apart from the other rows of
 its batch, so a sample's output bits do not depend on its batch: how many rows
 it runs with, or which.  Inference may therefore chunk rows freely, and
 outputs computed once equal those of per-batch runs bit for bit.  Because
-inference writes no layer state, the chunks of one call may also run
-concurrently, on a pool of worker threads that the call makes and shuts down:
-one thread per core in the process's affinity mask (``taskset`` caps it), and
-a single thread unless BLAS is pinned to one (see ``mclkit/__init__.py``).
-No pool outlives its call, so a forked child inherits none.
+inference writes no layer state, the chunks of one call run on a pool of
+worker threads that the call makes and shuts down: one per core in the
+process's affinity mask (``taskset`` caps it), so one on one core, and one
+whenever BLAS is not pinned to one thread (see ``mclkit/__init__.py``).  No
+pool outlives its call, so a forked child inherits none.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import _BLAS_THREADS, tensor
-from .errors import NonFiniteError, ShapeMismatchError, StateError
+from .errors import ConfigError, NonFiniteError, ShapeMismatchError, StateError
 
 __all__ = [
     "Param",
@@ -176,7 +176,7 @@ class Conv2d(Layer):
     kind = "conv2d"
     kernel_size = 3
 
-    def __init__(self, in_channels, out_channels, rng=None, dtype=np.float32):
+    def __init__(self, in_channels, out_channels, rng, dtype=np.float32):
         super().__init__()
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
@@ -321,6 +321,8 @@ class ModeProjection(Layer):
         if len(self.in_shape) != len(self.target_dims):
             raise ShapeMismatchError("in_shape and target_dims must have equal rank")
         if factors is None:
+            if rng is None:
+                raise ConfigError("mode projection needs an rng or factors")
             factors = [
                 glorot_uniform(rng, (m, i), i, m, dtype)
                 for m, i in zip(self.target_dims, self.in_shape)
@@ -450,9 +452,9 @@ def _forward_path(stacks, x, training=False):
 
 
 def _inference_workers():
-    """The cores in this process's affinity mask, which ``taskset`` or a
-    cpuset caps; 1 unless BLAS runs one thread (see ``mclkit/__init__.py``),
-    since a pool beside a multithreaded BLAS is slower than one thread."""
+    """Workers per inference pool: the cores in this process's affinity mask,
+    which ``taskset`` or a cpuset caps; 1 unless BLAS runs one thread (see
+    ``mclkit/__init__.py``), since more beside a multithreaded BLAS are slower."""
     if any(os.environ.get(var) != "1" for var in _BLAS_THREADS):
         return 1
     try:
@@ -462,9 +464,9 @@ def _inference_workers():
 
 
 _WORKERS = _inference_workers()
-# Rows per chunk: on the calling thread they bound memory, on the pool they
-# also spread the work; an input of fewer values than _POOL_MIN_VALUES stays
-# on the calling thread, where a split costs more than the cores save.
+# Rows per chunk: on one worker they bound memory, on several they also
+# spread the work; an input of fewer values than _POOL_MIN_VALUES gets one
+# worker, since a split across cores costs more than the cores save.
 # Output bits depend on none of these.
 _SERIAL_ROWS = 256
 _POOL_ROWS = 64
@@ -475,20 +477,19 @@ def _forward_chunks(stacks, x):
     """Inference through a stack pipeline in chunks of rows, written into
     one output array.
 
-    An input of at least ``_POOL_MIN_VALUES`` values is split into equal
+    Inputs of at least ``_POOL_MIN_VALUES`` values get every worker and equal
     chunks of at most ``_POOL_ROWS`` rows, their count a multiple of the
-    worker count, which run on the worker pool; if chunks fail, the first
-    failing one in row order raises.  Other inputs run on the calling thread.
-    An empty input makes one zero-row pass, so the result keeps its sample
-    shape; an empty path returns ``x`` itself.
+    worker count; smaller ones get one worker and ``_SERIAL_ROWS`` rows.  The
+    chunks run on a pool made for this call, and the first failing one in row
+    order raises; an input of one chunk runs on the calling thread.  An empty
+    input makes one zero-row pass, so the result keeps its sample shape; an
+    empty path returns ``x`` itself.
     """
     x = np.asarray(x)
     n = len(x)
     workers = min(_WORKERS, n) if x.size >= _POOL_MIN_VALUES else 1
-    if workers > 1:
-        k = workers * -(-n // (_POOL_ROWS * workers))
-    else:
-        k = -(-n // _SERIAL_ROWS)
+    rows = _POOL_ROWS if workers > 1 else _SERIAL_ROWS
+    k = workers * -(-n // (rows * workers))
     if k <= 1 or not stacks:
         return _forward_path(stacks, x)
     bounds = [n * i // k for i in range(k + 1)]
@@ -498,10 +499,6 @@ def _forward_chunks(stacks, x):
     def run(lo, hi):
         out[lo:hi] = _forward_path(stacks, x[lo:hi])
 
-    if workers == 1:
-        for lo, hi in zip(bounds, bounds[1:]):
-            run(lo, hi)
-        return out
     # map raises the first failing chunk in row order and drops the chunks
     # not yet started; leaving the block waits for the running ones, so none
     # still writes to `out` once this returns

@@ -41,9 +41,9 @@ __all__ = [
 ]
 
 
-def _is_count(d) -> bool:
-    """The rule for every size setting: an int (numpy's too, not a bool), at least 1."""
-    return isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+def _is_count(d, least=1) -> bool:
+    """The rule for every size setting: an int (numpy's too, not a bool), at least ``least``."""
+    return isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= least
 
 
 @dataclass(frozen=True)

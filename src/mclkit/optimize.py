@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam decays and denominator guard
+
+
+def _is_real(v) -> bool:
+    """A real number, numpy's too, but not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -63,27 +69,32 @@ class TrainConfig:
             value = getattr(self, name)
             if not _is_count(value):
                 raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
+        if not isinstance(self.flip, (bool, np.bool_)):
+            raise ConfigError(f"flip must be a bool, got {self.flip!r}")
+        if not all(isinstance(v, (tuple, list)) for v in (self.lr_values, self.lr_switch_epochs)):
+            raise ConfigError("lr_values and lr_switch_epochs must be tuples")
         if len(self.lr_values) != len(self.lr_switch_epochs) + 1:
             raise ConfigError("need one more lr value than switch epochs")
         switches = tuple(self.lr_switch_epochs)
+        if not all(map(_is_count, switches)):
+            raise ConfigError(f"lr switch epochs must be ints >= 1, got {switches}")
         if any(b <= a for a, b in zip(switches, switches[1:])):
             raise ConfigError("lr switch epochs must be strictly increasing")
-        if switches and (switches[0] < 1 or switches[-1] >= self.epochs):
+        if switches and switches[-1] >= self.epochs:
             raise ConfigError("lr switch epochs must lie inside (0, epochs)")
-        # Written so that NaN fails every check.
-        if not all(math.isfinite(lr) and lr > 0 for lr in self.lr_values):
+        # Written so that NaN fails every check; a bool is not a number here.
+        if not all(_is_real(lr) and 0 < lr < math.inf for lr in self.lr_values):
             raise ConfigError(f"learning rates must be finite and > 0, got {self.lr_values}")
-        if not self.max_norm > 0:
-            raise ConfigError("max_norm must be positive")
-        if not (math.isfinite(self.distill_weight) and self.distill_weight >= 0):
-            raise ConfigError("distill_weight must be finite and >= 0")
-        if not 0 < self.confidence_threshold < 1:
-            raise ConfigError("confidence_threshold must lie in (0, 1)")
-        if not 0 <= self.shift_fraction < 1:
-            raise ConfigError("shift_fraction must lie in [0, 1)")
-        seed = self.seed
-        if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
-            raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
+        if not (_is_real(self.max_norm) and self.max_norm > 0):
+            raise ConfigError("max_norm must be a number > 0")
+        if not (_is_real(self.distill_weight) and 0 <= self.distill_weight < math.inf):
+            raise ConfigError("distill_weight must be a finite number >= 0")
+        if not (_is_real(self.confidence_threshold) and 0 < self.confidence_threshold < 1):
+            raise ConfigError("confidence_threshold must be a number in (0, 1)")
+        if not (_is_real(self.shift_fraction) and 0 <= self.shift_fraction < 1):
+            raise ConfigError("shift_fraction must be a number in [0, 1)")
+        if not _is_count(self.seed, least=0):
+            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
 
     @classmethod
     def full_schedule(cls, **overrides) -> "TrainConfig":
@@ -190,15 +201,6 @@ class TrainHistory:
     n_train: int = 0
     seconds: float = 0.0  # wall time of the epoch loop, set by train()
 
-    def lr_sequence(self):
-        return [r[1] for r in self.rows]
-
-    def train_losses(self):
-        return [r[2] for r in self.rows]
-
-    def val_metrics(self):
-        return [r[3] for r in self.rows]
-
     def csv_text(self) -> str:
         lines = ["epoch,lr,train_loss,val_metric"]
         for epoch, lr, loss, val in self.rows:
@@ -246,23 +248,31 @@ class SupervisedObjective(Objective):
 
     With weight 0 the teacher is never run, so the loss is plain
     cross-entropy whether or not a teacher path is given.  The training
-    targets may be a record array of ``label`` and ``teacher_logits``: the
-    teacher's predictions on those rows, computed beforehand.
+    targets may be :meth:`pack`'s record of the labels and the teacher's
+    predictions on those rows, computed beforehand.
     """
 
     def __init__(self, path, teacher_path=(), weight=0.0):
-        self.path = tuple(path)
+        self.trainable = tuple(path)
         self.teacher_path = tuple(teacher_path)
         self.weight = float(weight)
         if self.weight != 0.0 and not self.teacher_path:
             raise ConfigError("a non-zero distillation weight needs a teacher path")
-        self.trainable = self.path
+
+    @staticmethod
+    def pack(labels, teacher_logits):
+        """One record per row: its label and the teacher's logits on it."""
+        logits = teacher_logits
+        packed = np.empty(len(labels), [("label", labels.dtype),
+                                        ("teacher_logits", logits.dtype, logits.shape[1:])])
+        packed["label"], packed["teacher_logits"] = labels, logits
+        return packed
 
     def batch_loss(self, x, y):
         teacher_logits = None
         if y.dtype.names:
             y, teacher_logits = y["label"], y["teacher_logits"]
-        logits = _forward_path(self.path, x, training=True)
+        logits = _forward_path(self.trainable, x, training=True)
         loss, grad = cross_entropy(logits, y)
         if self.weight != 0.0:
             if teacher_logits is None:
@@ -270,12 +280,12 @@ class SupervisedObjective(Objective):
             kl, _, g_kl = symmetric_kl(teacher_logits, logits)
             loss += self.weight * kl
             grad = grad + self.weight * g_kl
-        _backward_path(self.path, grad)
+        _backward_path(self.trainable, grad)
         return loss
 
     def val_metric(self, x, y):
         _check_labels("validation", x, y)
-        logits = _forward_chunks(self.path, x)
+        logits = _forward_chunks(self.trainable, x)
         return float(np.mean(logits.argmax(axis=1) == y))
 
 
@@ -292,19 +302,18 @@ class OutputMatchingObjective(Objective):
     higher_is_better = False
 
     def __init__(self, path, teacher_path=()):
-        self.path = tuple(path)
+        self.trainable = tuple(path)
         self.teacher_path = tuple(teacher_path)
-        self.trainable = self.path
 
     def batch_loss(self, x, y):
-        out = _forward_path(self.path, x, training=True)
+        out = _forward_path(self.trainable, x, training=True)
         target = _forward_path(self.teacher_path, x, training=False) if y is None else y
         loss, grad, _ = l1_loss(out, target)
-        _backward_path(self.path, grad)
+        _backward_path(self.trainable, grad)
         return loss
 
     def val_metric(self, x, y):
-        out = _forward_chunks(self.path, x)
+        out = _forward_chunks(self.trainable, x)
         target = _forward_chunks(self.teacher_path, x) if y is None else y
         return l1_loss(out, target)[0]
 

@@ -374,7 +374,7 @@ def test_criterion_10_max_norm_and_schedule():
     history = train(objective, bundle.train_x, bundle.train_y,
                     bundle.val_x, bundle.val_y, cfg, epoch_end=check)
     norm_ok = max(worst) <= 6.0 + 1e-5
-    lrs = history.lr_sequence()
+    lrs = [r[1] for r in history.rows]
     schedule_ok = (len(lrs) == 160 and lrs[:80] == [1e-3] * 80
                    and lrs[80:120] == [1e-4] * 40 and lrs[120:] == [1e-5] * 40)
     _report(10, "max-norm-and-schedule", norm_ok and schedule_ok,

@@ -109,7 +109,7 @@ class TestStage1:
         student = _student(seed=2)
         cfg = TrainConfig(epochs=20, lr_switch_epochs=(12, 16), batch_size=16, seed=0)
         history = stage1_transfer(student, teacher, bundle.train_x, bundle.val_x, cfg)
-        losses = history.train_losses()
+        losses = [r[2] for r in history.rows]
         drops = sum(losses[i + 1] <= losses[i] + 1e-12 for i in range(len(losses) - 1))
         assert drops / (len(losses) - 1) >= 0.9
 
@@ -183,6 +183,22 @@ class TestStage3:
         assert ha.rows == hb.rows
         for pa, pb in zip(a.all_params(), b.all_params()):
             assert np.array_equal(pa.value, pb.value)
+
+    def test_packed_teacher_logits_equal_per_batch_teacher(self, bundle, trained_teacher):
+        teacher, _ = trained_teacher
+        cfg = TrainConfig(epochs=3, lr_switch_epochs=(), lr_values=(1e-3,),
+                          batch_size=16, seed=8, distill_weight=1.0)
+        packed = SupervisedObjective.pack(bundle.train_y, teacher.forward_logits(bundle.train_x))
+        runs = []
+        for y in (bundle.train_y, packed):
+            student = _student(seed=9)
+            history = stage3_transfer(student, teacher, bundle.train_x, y,
+                                      bundle.val_x, bundle.val_y, cfg)
+            runs.append((history.rows, [p.value for p in student.all_params()]))
+        (rows_a, params_a), (rows_b, params_b) = runs
+        assert rows_a == rows_b
+        for pa, pb in zip(params_a, params_b):
+            assert pa.tobytes() == pb.tobytes()
 
     def test_matching_predictions_zero_distillation_term(self, bundle, trained_teacher):
         from mclkit.optimize import _forward_path
@@ -534,17 +550,19 @@ class TestSemiSupervised:
                                                              quick_cfg, monkeypatch):
         teacher, _ = trained_teacher
         seen = []
-        for name in ("_match", "_stage3"):
+        for name in ("_match", "stage3_transfer"):
             def record(student, teacher, *args, _real=getattr(distill, name)):
                 seen.append(args)
                 return _real(student, teacher, *args)
 
             monkeypatch.setattr(distill, name, record)
         train_mclwp_semisup(_student(seed=18), teacher, bundle, quick_cfg, StageMask())
-        # _match takes (depth, x, ...), stage 3 takes (x, y, ...)
+        # _match takes (depth, x, ...), stage 3 takes (x, y, ...), its y the
+        # labels packed with the teacher's logits
         assert len(seen) == 3 and [args[0] for args in seen[:2]] == [1, 2]
         assert all(args[1] is bundle.train_x for args in seen[:2])
-        assert seen[2][0] is bundle.train_x and seen[2][1] is bundle.train_y
+        assert seen[2][0] is bundle.train_x
+        assert np.array_equal(seen[2][1]["label"], bundle.train_y)
 
     def test_transfer_stages_see_all_samples(self, trained_teacher):
         teacher, _ = trained_teacher

@@ -40,6 +40,13 @@ def test_relu_zero_gradient_at_negative_input():
     assert np.array_equal(gin, [[0.0, 1.0, 0.0]])
 
 
+def test_layers_without_rng_or_factors_raise():
+    with pytest.raises(TypeError):
+        Conv2d(2, 3)
+    with pytest.raises(ConfigError):
+        ModeProjection((4, 4, 1), (2, 2, 1))
+
+
 def test_mode_projection_identity_factors():
     proj = ModeProjection((3, 4, 2), (3, 4, 2),
                           factors=[np.eye(3), np.eye(4), np.eye(2)],
@@ -488,7 +495,7 @@ def test_pooled_chunks_run_on_the_pool(monkeypatch):
     ran_on.clear()
     monkeypatch.setattr(layers, "_WORKERS", 1)
     layers._forward_chunks([stack], np.ones((1000, 512), dtype=np.float32))
-    assert ran_on == {False}
+    assert ran_on == {False, True}, "the shape pass runs on the caller, the chunks on the pool"
 
 
 def test_empty_path_returns_its_input():

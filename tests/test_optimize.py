@@ -57,7 +57,10 @@ class TestTrainConfig:
                     dict(self_label_round_cap=0), dict(self_label_round_cap=-3),
                     dict(seed=-1), dict(seed=1.5), dict(seed=True), dict(batch_size=2.5),
                     dict(epochs_per_round=1.5), dict(self_label_round_cap=2.5),
-                    dict(epochs="3"),
+                    dict(epochs="3"), dict(flip="no"),
+                    dict(lr_switch_epochs=(1.5,), lr_values=(1e-3, 1e-4)),
+                    dict(max_norm=True), dict(distill_weight=True),
+                    dict(lr_values=1e-3, lr_switch_epochs=()),
                     dict(epochs=True, lr_switch_epochs=(), lr_values=(1e-3,))):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
@@ -200,7 +203,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=8, lr_values=(1e-3, 1e-4, 1e-5),
                           lr_switch_epochs=(4, 6), seed=0)
         history = train(SupervisedObjective([_toy_stack()]), x, y, x, y, cfg)
-        assert history.lr_sequence() == [1e-3] * 4 + [1e-4] * 2 + [1e-5] * 2
+        assert [r[1] for r in history.rows] == [1e-3] * 4 + [1e-4] * 2 + [1e-5] * 2
 
     def test_determinism_bitwise(self):
         def run():
@@ -223,7 +226,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=12, lr_switch_epochs=(), lr_values=(1e-3,), seed=0)
         objective = SupervisedObjective([stack])
         history = train(objective, x, y, x, y, cfg)
-        assert history.best_value == max(history.val_metrics())
+        assert history.best_value == max(r[3] for r in history.rows)
         assert history.rows[history.best_epoch][3] == history.best_value
         # restored parameters actually reproduce the recorded best metric
         assert objective.val_metric(x, y) == history.best_value
