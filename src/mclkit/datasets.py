@@ -247,11 +247,12 @@ def split_semisup(bundle: DatasetBundle, labeled_fraction: float, seed: int) -> 
 
 
 def nearest_template_accuracy(x, y, templates) -> float:
-    """Fraction of samples closest (Euclidean) to their own class template."""
-    nearest = np.empty(len(x), dtype=np.intp)
-    for start, d in tensor._sq_dist_blocks(x, templates):
-        nearest[start : start + len(d)] = d.argmin(axis=1)
-    return float(np.mean(nearest == y))
+    """Fraction of samples closest (Euclidean, in float64) to their own class
+    template, a distance tie going to the lower class.  The nearest template
+    is exactly the brute-force one: :func:`mclkit.tensor._nearest` screens
+    every pair with a float64 GEMM and a rounding bound, then computes the
+    exact distance to the templates the screen cannot rule out."""
+    return float(np.mean(tensor._nearest(x, templates, 1)[:, 0] == y))
 
 
 def _low_rank_template(rng, shape):

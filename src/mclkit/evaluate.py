@@ -69,9 +69,13 @@ def accuracy(model, test_x, test_y) -> float:
 def knn_compressive(model, train_x, train_y, test_x, test_y, k=5) -> float:
     """Majority-vote accuracy of K nearest neighbours in measurement space.
 
-    Measurements are vectorized and compared by Euclidean distance (computed
-    in float64); distance ties break toward the lower training index and vote
-    ties toward the lower class index.
+    Measurements are vectorized and compared by squared Euclidean distance in
+    float64; distance ties break toward the lower training index and vote ties
+    toward the lower class index.  The neighbours are exactly those of a
+    brute-force sort of every query's distances to every training row: a
+    float64 GEMM screens all pairs with a rounding bound, and only the rows it
+    cannot rule out get the exact distance (:func:`mclkit.tensor._nearest`).
+    Non-finite measurements raise :class:`~mclkit.errors.NonFiniteError`.
     """
     if not 1 <= k <= len(train_x):
         raise ConfigError(f"k={k} outside [1, {len(train_x)}], the training sample count")
@@ -79,18 +83,15 @@ def knn_compressive(model, train_x, train_y, test_x, test_y, k=5) -> float:
         raise ConfigError("empty evaluation set")
     _check_labels("training", train_x, train_y)
     _check_labels("test", test_x, test_y)
+    if not np.issubdtype(train_y.dtype, np.integer):
+        raise ConfigError(f"training labels must be integers, got dtype {train_y.dtype}")
     if train_y.min() < 0:
         raise ConfigError("training labels must be >= 0; -1 marks an unlabeled sample")
     z_train = model.measurements(train_x)
-    n_classes = int(train_y.max()) + 1
-    correct = 0
-    for start, d in tensor._sq_dist_blocks(model.measurements(test_x), z_train):
-        nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
-        for row, neighbours in enumerate(nearest):
-            votes = np.bincount(train_y[neighbours], minlength=n_classes)
-            if votes.argmax() == test_y[start + row]:
-                correct += 1
-    return correct / len(test_x)
+    nearest = tensor._nearest(model.measurements(test_x), z_train, k)
+    votes = np.zeros((len(test_x), int(train_y.max()) + 1), dtype=np.intp)
+    np.add.at(votes, (np.arange(len(test_x))[:, None], train_y[nearest]), 1)
+    return np.count_nonzero(votes.argmax(axis=1) == test_y) / len(test_x)
 
 
 def _students(n, bundle, measurement, width, capacity, seed) -> list:

@@ -33,8 +33,9 @@ __all__ = [
 ]
 
 _SIGN_TOL = 1e-12
-# Working set per block: float64 in _sq_dist_blocks and hosvd_factors, records
-# in the .mcld writer (datasets._write_split).
+# Working set per block: float64 queries and screen rows in _nearest, the
+# float64 unfolding in hosvd_factors, records in the .mcld writer
+# (datasets._write_split).
 _BLOCK_BYTES = 16 * 2**20
 
 
@@ -72,16 +73,68 @@ def _batched_mode_product(x, ws) -> np.ndarray:
     return out
 
 
-def _sq_dist_blocks(a, b):
-    """Yield ``(start, d)`` with ``d[i, j]`` the float64 squared distance from
-    ``a[start + i]`` to ``b[j]`` (samples flattened), in row blocks whose
-    differences fit ``_BLOCK_BYTES``; results do not depend on the budget."""
-    b = b.reshape(len(b), -1).astype(np.float64)
-    a = a.reshape(len(a), -1)
-    rows = max(1, _BLOCK_BYTES // (8 * b.size))
+def _nearest(a, b, k) -> np.ndarray:
+    """Indices of the ``k`` rows of ``b`` nearest to each row of ``a``, nearest
+    first, a distance tie going to the lower index (``1 <= k <= len(b)``).
+
+    Samples are flattened and compared by squared Euclidean distance in
+    float64, ``((b - q) ** 2).sum(axis=1)`` for a query ``q``; the result is
+    exactly a brute-force sort of those distances, then of the indices.  A
+    float64 GEMM screens every pair first, ``|q|^2 + |b|^2 - 2 q.b``, and only
+    the rows the screen cannot rule out get the exact distance.  Query blocks
+    keep their float64 working set near ``_BLOCK_BYTES``; the result depends
+    neither on the budget nor on BLAS's summation order or thread count."""
+    b = np.asarray(b, dtype=np.float64).reshape(len(b), -1)
+    n, size = b.shape
+    a = np.asarray(a).reshape(len(a), size)
+    # The screen and the exact distance differ by less than the bound.  With
+    # u = eps / 2 and g = (D + 2) u / (1 - (D + 2) u), a sum of D products in
+    # any order, fused or not, is within (D u / (1 - D u)) times the sum of
+    # their magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
+    # section 3.1).  So the screen (2 q.b, then |q|^2 and |b|^2 added) is within
+    # g (|q|^2 + 2 |q||b| + |b|^2) of the true distance, and so is the exact
+    # form (D rounded differences squared, then D - 1 additions).  Their gap is
+    # under 2 g (|q| + |b|)^2, about (D + 2) eps (|q| + |b|)^2; the bound
+    # doubles that, which also covers the rounded norms and the bound's own
+    # arithmetic.  A product that underflows is off by at most half the
+    # smallest subnormal; the two forms make 4 D products, the screen's D
+    # cross products doubled, so underflow costs at most 2.5 D subnormals, and
+    # the 2^-1021 term adds 4 (D + 8) of them.
+    scale = 2 * (size + 8) * np.finfo(np.float64).eps
+    sq_b = np.einsum("ij,ij->i", b, b)
+    norm_b = np.sqrt(sq_b)
+    # Per query: its float64 row, three screen rows, about k gathered rows.
+    rows = max(1, _BLOCK_BYTES // (8 * (3 * n + (k + 1) * size)))
+    screen, bound, upper = np.empty((3, min(rows, len(a)), n))
+    out = np.empty((len(a), k), dtype=np.intp)
     for start in range(0, len(a), rows):
-        block = a[start : start + rows].astype(np.float64)
-        yield start, ((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        q = a[start : start + rows].astype(np.float64)
+        r = len(q)
+        sq_q = np.einsum("ij,ij->i", q, q)
+        norm_q = np.sqrt(sq_q)
+        if not np.isfinite((norm_q.max() + norm_b.max()) ** 2):
+            raise NonFiniteError(
+                "non-finite values, or squared distances beyond float64")
+        approx, err, hi = screen[:r], bound[:r], upper[:r]
+        np.matmul(q, b.T, out=approx)
+        approx *= -2
+        approx += sq_q[:, None]
+        approx += sq_b
+        np.add(norm_q[:, None], norm_b, out=err)
+        np.square(err, out=err)
+        err += 2.0**-1021
+        err *= scale
+        # At least k rows have an exact distance <= the k-th smallest upper
+        # bound, so a row whose lower bound exceeds it is beaten by k others.
+        np.add(approx, err, out=hi)
+        hi.partition(k - 1, axis=1)
+        approx -= err
+        rows_of, cols = np.nonzero(approx <= hi[:, k - 1 : k])
+        d = ((b[cols] - q[rows_of]) ** 2).sum(axis=1)
+        order = np.lexsort((cols, d, rows_of))
+        first = np.searchsorted(rows_of, np.arange(r))
+        out[start : start + r] = cols[order[first[:, None] + np.arange(k)]]
+    return out
 
 
 def _as_factor(w, t, k):

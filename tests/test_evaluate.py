@@ -14,7 +14,7 @@ from mclkit import (
     train_mclwp,
     train_prior_supervised,
 )
-from mclkit.errors import ConfigError
+from mclkit.errors import ConfigError, NonFiniteError
 from mclkit.evaluate import accuracy
 from mclkit.optimize import SupervisedObjective, train
 
@@ -152,6 +152,25 @@ class TestKnn:
         train_y[::4] = -1
         with pytest.raises(ConfigError, match="unlabeled"):
             knn_compressive(m, bundle.train_x, train_y, bundle.test_x, bundle.test_y, k=3)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_integer_training_labels_rejected(self, bundle, monkeypatch, dtype):
+        m = build_mcl(SIGNAL, (3, 3, 1), 3, seed=0)
+        monkeypatch.setattr(m, "measurements", None)  # no work before the check
+        with pytest.raises(ConfigError, match="integers"):
+            knn_compressive(m, bundle.train_x, bundle.train_y.astype(dtype),
+                            bundle.test_x, bundle.test_y, k=3)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("split", ["training", "test"])
+    def test_non_finite_measurements_rejected(self, bundle, split):
+        # 3e38 is a finite float32 input, but its measurements overflow
+        m = build_mcl(SIGNAL, (3, 3, 1), 3, fs_kind="multilinear", seed=0)
+        xs = {"training": bundle.train_x.copy(), "test": bundle.test_x.copy()}
+        xs[split][1] = 3e38
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            knn_compressive(m, xs["training"], bundle.train_y, xs["test"], bundle.test_y, k=3)
 
     @pytest.mark.parametrize("k", [0, -1, -5])
     def test_k_below_one_rejected(self, bundle, model, k):

@@ -300,15 +300,68 @@ def test_hosvd_svd_failure_is_convergence_error(monkeypatch):
         tensor.hosvd_factors(samples, (2, 2, 1))
 
 
+def _brute_nearest(a, b, k):
+    """Every query against every row: sort the float64 distances, then the
+    indices, and keep the first ``k``."""
+    fb = b.reshape(len(b), -1).astype(np.float64)
+    index = np.arange(len(b))
+    return np.array([np.lexsort((index, ((fb - q) ** 2).sum(axis=1)))[:k]
+                     for q in a.reshape(len(a), -1).astype(np.float64)],
+                    dtype=np.intp).reshape(len(a), k)
+
+
 @pytest.mark.parametrize("budget", [1, 8 * 7 * 12 * 3, 2**30])
 def test_distance_blocks_match_whole_array_bitwise(monkeypatch, budget):
     rng = np.random.default_rng(20)
     a = rng.random((23, 4, 3)).astype(np.float32)
     b = rng.random((7, 4, 3)).astype(np.float32)
-    fa, fb = a.reshape(23, -1).astype(np.float64), b.reshape(7, -1).astype(np.float64)
-    whole = ((fa[:, None, :] - fb[None, :, :]) ** 2).sum(axis=2)
     monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
-    blocks = list(tensor._sq_dist_blocks(a, b))
-    assert [start for start, _ in blocks] == list(range(0, 23, len(blocks[0][1])))
-    assert all(d.dtype == np.float64 for _, d in blocks)
-    assert np.concatenate([d for _, d in blocks]).tobytes() == whole.tobytes()
+    for k in (1, 3, 7):
+        got = tensor._nearest(a, b, k)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, _brute_nearest(a, b, k))
+
+
+def _nearest_cases():
+    rng = np.random.default_rng(21)
+    grid = rng.integers(0, 3, size=(60, 5)).astype(np.float32)
+    rows = rng.random((30, 5))
+    repeated = np.concatenate([rows, rows[::-1], rows[:7]])
+    # Integers plus an offset in [600, 1000): the sums and all their
+    # differences are exact, so the distances tie exactly as on the grid, while
+    # |q|^2 and |b|^2 are 1e6 times larger and round.
+    far = rng.uniform(600, 1000, size=5) + grid.astype(np.float64)
+    # The same scaled by 2^-530: the distances are exact subnormals, and the
+    # relative part of the screen's bound underflows to 0.
+    tiny = 2.0**-530 * far
+    return {
+        # few distinct distances, so most neighbour ranks are exact ties
+        "quantised": (grid[:20], grid[20:]),
+        "duplicated": (rng.random((20, 5)), repeated),
+        "queries_are_rows": (repeated[::3], repeated),
+        "far_from_origin": (far[:20], far[20:]),
+        "near_underflow": (tiny[:20], tiny[20:]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_nearest_cases()))
+def test_nearest_matches_brute_force_on_ties_and_cancellation(monkeypatch, case):
+    a, b = _nearest_cases()[case]
+    for budget in (1, 2**30):
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
+        for k in (1, 4, len(b)):
+            assert np.array_equal(tensor._nearest(a, b, k), _brute_nearest(a, b, k))
+
+
+def test_nearest_of_no_queries_is_empty():
+    got = tensor._nearest(np.empty((0, 4, 3)), np.ones((5, 4, 3)), 2)
+    assert got.shape == (0, 2) and got.dtype == np.intp
+
+
+@pytest.mark.parametrize("side", ["queries", "rows"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nearest_rejects_non_finite(side, value):
+    a, b = np.ones((4, 3)), np.zeros((6, 3))
+    {"queries": a, "rows": b}[side][-1, 1] = value
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        tensor._nearest(a, b, 2)
