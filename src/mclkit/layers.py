@@ -9,16 +9,19 @@ training; inference (``training=False``) writes no layer state.
 Every layer's forward pass computes each sample apart from the other rows of
 its batch, so a sample's output bits do not depend on its batch: how many rows
 it runs with, or which.  Inference may therefore chunk rows freely, and
-outputs computed once equal those of per-batch runs bit for bit.  Because
-inference writes no layer state, the chunks of one call run on a pool of
-worker threads that the call makes and shuts down: one per core in the
-process's affinity mask (``taskset`` caps it), so one on one core, and one
-whenever BLAS is not pinned to one thread (see ``mclkit/__init__.py``).  No
-pool outlives its call, so a forked child inherits none.
+outputs computed once equal those of per-batch runs bit for bit.  A chunk
+holds as many rows as keep its widest activation within about one core's L2
+(``tensor._CACHE_BYTES``).  Because inference writes no layer state, the
+chunks of one call run on a pool of worker threads that the call makes and
+shuts down: one per core in the process's affinity mask (``taskset`` caps
+it), so one on one core, and one whenever BLAS is not pinned to one thread
+(see ``mclkit/__init__.py``).  No pool outlives its call, so a forked child
+inherits none.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -149,8 +152,10 @@ def _columns(x):
     m = min(step, n)
     xp = np.zeros((m, h + 2, w + 2, c), dtype=x.dtype)
     buf = np.empty((m, h, w, 3, 3, c), dtype=x.dtype)
-    taps = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    taps = taps.transpose(0, 1, 2, 4, 5, 3)
+    # taps[s, y, x, dy, dx] is xp[s, y + dy, x + dx]: a read-only view
+    s0, s1, s2, s3 = xp.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xp, buf.shape, (s0, s1, s2, s1, s2, s3), writeable=False)
     for i in range(0, n, step):
         j = min(i + step, n)
         xp[: j - i, 1:-1, 1:-1] = x[i:j]
@@ -464,12 +469,8 @@ def _inference_workers():
 
 
 _WORKERS = _inference_workers()
-# Rows per chunk: on one worker they bound memory, on several they also
-# spread the work; an input of fewer values than _POOL_MIN_VALUES gets one
-# worker, since a split across cores costs more than the cores save.
-# Output bits depend on none of these.
-_SERIAL_ROWS = 256
-_POOL_ROWS = 64
+# An input of fewer values than this gets one worker, since a split across
+# cores costs more than the cores save.  Output bits do not depend on it.
 _POOL_MIN_VALUES = 1 << 17
 
 
@@ -477,20 +478,26 @@ def _forward_chunks(stacks, x):
     """Inference through a stack pipeline in chunks of rows, written into
     one output array.
 
-    Inputs of at least ``_POOL_MIN_VALUES`` values get every worker and equal
-    chunks of at most ``_POOL_ROWS`` rows, their count a multiple of the
-    worker count; smaller ones get one worker and ``_SERIAL_ROWS`` rows.  The
-    chunks run on a pool made for this call, and the first failing one in row
-    order raises; an input of one chunk runs on the calling thread.  An empty
-    input makes one zero-row pass, so the result keeps its sample shape; an
-    empty path returns ``x`` itself.
+    A chunk holds as many rows as keep the path's widest activation (its
+    input, or any layer's output) within ``tensor._CACHE_BYTES``, at least
+    one, so memory above the input and output grows with the workers, not
+    with the rows.  Inputs of at least ``_POOL_MIN_VALUES`` values get every
+    worker and equal chunks, their count a multiple of the worker count;
+    smaller ones get one worker.  The chunks run on a pool made for this call,
+    and the first failing one in row order raises; an input of one chunk runs
+    on the calling thread.  An empty input makes one zero-row pass, so the
+    result keeps its sample shape; an empty path returns ``x`` itself.
     """
     x = np.asarray(x)
+    if not stacks:
+        return x
     n = len(x)
     workers = min(_WORKERS, n) if x.size >= _POOL_MIN_VALUES else 1
-    rows = _POOL_ROWS if workers > 1 else _SERIAL_ROWS
+    widest = max(math.prod(shape) for s in stacks
+                 for shape in (*s._layer_in_shapes, s.out_shape))
+    rows = max(1, tensor._CACHE_BYTES // (widest * x.itemsize))
     k = workers * -(-n // (rows * workers))
-    if k <= 1 or not stacks:
+    if k <= 1:
         return _forward_path(stacks, x)
     bounds = [n * i // k for i in range(k + 1)]
     first = _forward_path(stacks, x[:0])  # gives the output's sample shape and dtype

@@ -33,10 +33,14 @@ __all__ = [
 ]
 
 _SIGN_TOL = 1e-12
-# Working set per block: float64 queries and screen rows in _nearest, the
-# float64 unfolding in hosvd_factors, records in the .mcld writer
-# (datasets._write_split).
+# Working set per block: float64 queries and screen rows in _nearest, records
+# in the .mcld writer (datasets._write_split).  The screen's GEMM runs faster
+# on these larger blocks than on cache-sized ones.
 _BLOCK_BYTES = 16 * 2**20
+# Working set that fits one core's L2: the float64 unfolding in hosvd_factors,
+# the widest activation of an inference chunk (layers._forward_chunks).  What
+# a pass holds above its input and output grows with this, not with the rows.
+_CACHE_BYTES = 2 * 2**20
 
 
 def _as_tensor(t, name="tensor"):
@@ -63,14 +67,19 @@ def _batched_mode_product(x, ws) -> np.ndarray:
     contiguous ``(batch, rows, I_k)`` array by ``w.T``, so every sample gets
     the same GEMM call whatever the batch size.  Callers do the checks."""
     out = x
+    # axes[i] is the axis of x that axis i of out holds: each product leaves
+    # its mode last, and one transpose per mode takes out to the next order
+    axes = tuple(range(x.ndim))
     for k, w in enumerate(ws):
         if w is None:
             continue
-        moved = np.moveaxis(out, k + 1, -1)
-        rows = int(np.prod(moved.shape[1:-1]))
+        order = tuple(a for a in range(x.ndim) if a != k + 1) + (k + 1,)
+        moved = out.transpose(tuple(axes.index(a) for a in order))
+        rows = math.prod(moved.shape[1:-1])
         flat = np.ascontiguousarray(moved).reshape(len(out), rows, w.shape[1])
-        out = np.moveaxis((flat @ w.T).reshape(moved.shape[:-1] + (w.shape[0],)), -1, k + 1)
-    return out
+        out = (flat @ w.T).reshape(moved.shape[:-1] + (w.shape[0],))
+        axes = order
+    return out.transpose(tuple(axes.index(a) for a in range(x.ndim)))
 
 
 def _nearest(a, b, k) -> np.ndarray:
@@ -241,11 +250,11 @@ def hosvd_factors(samples, target_dims: Sequence[int]) -> list[np.ndarray]:
     rows of factor ``k`` (shape ``target_dims[k] x I_k``, orthonormal rows).
     These equal the top eigenvectors of the unfolding's Gram matrix
     ``U_k U_k^T`` (``I_k x I_k``), which one pass over the samples sums in
-    float64, in blocks of at most 16 MiB, so memory above the input stays
-    bounded whatever the number of samples.  Factors are float32 for float32
-    samples and float64 otherwise.  Projecting with these factors captures at
-    least as much energy as any random orthonormal projection of the same
-    size.
+    float64, in blocks that fit a core's L2 (``_CACHE_BYTES``, 2 MiB), so
+    memory above the input stays bounded whatever the number of samples.
+    Factors are float32 for float32 samples and float64 otherwise.  Projecting
+    with these factors captures at least as much energy as any random
+    orthonormal projection of the same size.
     """
     stack = np.asarray(samples)
     if stack.ndim < 2 or stack.shape[0] == 0:
@@ -262,7 +271,7 @@ def hosvd_factors(samples, target_dims: Sequence[int]) -> list[np.ndarray]:
                 f"mode {k}: target dim {want} outside [1, {dim}]"
             )
     size = math.prod(shape)
-    rows = max(1, _BLOCK_BYTES // (8 * size))
+    rows = max(1, _CACHE_BYTES // (8 * size))
     # One float64 buffer takes each block's mode-k unfolding in turn: the cast
     # and the transpose happen in one copy, and no other block-sized array lives.
     buf = np.empty(min(rows, len(stack)) * size)

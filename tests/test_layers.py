@@ -432,6 +432,7 @@ class _FailNegative(Layer):
 
 def test_pool_raises_the_first_failing_chunk(monkeypatch):
     monkeypatch.setattr(layers, "_WORKERS", 2)
+    monkeypatch.setattr(tensor, "_CACHE_BYTES", 64 * 512 * 4)  # 64 rows a chunk
     stack = LayerStack([_FailNegative()], (512,))
     x = np.ones((257, 512), dtype=np.float32)  # six 42- or 43-row chunks
     x[:, 0] = np.arange(257)
@@ -486,6 +487,7 @@ def test_pooled_chunks_run_on_the_pool(monkeypatch):
         return forward_path(stacks, x, training)
 
     monkeypatch.setattr(layers, "_forward_path", spy)
+    monkeypatch.setattr(tensor, "_CACHE_BYTES", 256 * 512 * 4)  # 256 rows a chunk
     stack = LayerStack([ReLU()], (512,))
     monkeypatch.setattr(layers, "_WORKERS", 2)
     layers._forward_chunks([stack], np.ones((255, 512), dtype=np.float32))

@@ -68,7 +68,8 @@ def test_logits_do_not_depend_on_the_batch(build):
 ], ids=["multilinear", "nonlinear", "prior"])
 def test_worker_count_does_not_change_output_bytes(build, monkeypatch):
     # 32x32x2 signals: from 64 rows an input holds 2**17 values and runs on
-    # the pool in chunks of at most 64 rows.
+    # the pool, in chunks whose widest activation holds at most 2 MiB: 128
+    # rows at a 32x32x4 float32 layer.
     m = build((32, 32, 2), (6, 6, 1), 3, width=4, seed=0)
     x = np.random.default_rng(4).random((257, 32, 32, 2), dtype=np.float32)
 

@@ -266,7 +266,7 @@ class TestHosvdFactors:
         samples = rand(np.random.default_rng(23), 30, 6, 5, 4)
         results = []
         for budget in (1, 2**30):  # one sample per block, then all in one
-            monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
+            monkeypatch.setattr(tensor, "_CACHE_BYTES", budget)
             results.append(tensor.hosvd_factors(samples, (3, 2, 2)))
         for small, whole in zip(*results):
             assert np.max(np.abs(small - whole)) < 1e-12
@@ -274,7 +274,7 @@ class TestHosvdFactors:
     def test_non_finite_in_later_block(self, monkeypatch):
         samples = rand(np.random.default_rng(24), 5, 4, 3, 2)
         samples[-1, 0, 0, 0] = np.nan
-        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(tensor, "_CACHE_BYTES", 1)
         with pytest.raises(NonFiniteError, match="non-finite"):
             tensor.hosvd_factors(samples, (2, 2, 1))
 
