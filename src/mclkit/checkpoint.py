@@ -25,7 +25,7 @@ from .errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
 )
-from .models import MclModel, MeasurementConfig, build_mcl, build_prior
+from .models import MclModel, MeasurementConfig, _pool_stage_count, build_mcl, build_prior
 
 __all__ = [
     "save_checkpoint",
@@ -135,7 +135,10 @@ def loads(data: bytes) -> dict[str, np.ndarray]:
             raise CheckpointFormatError(f"record {name!r} declares rank {rank}")
         dims = tuple(r.u32() for _ in range(rank))
         raw = r.take(4 * math.prod(dims))
-        records[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        try:
+            records[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        except ValueError:  # no values, but the other dims overflow numpy's sizes
+            raise CheckpointFormatError(f"record {name!r} declares dims {dims}") from None
     return records
 
 
@@ -155,19 +158,50 @@ def load_checkpoint(path):
     if not (np.isfinite(meta).all() and (meta >= 0).all() and (meta == np.round(meta)).all()):
         raise CheckpointFormatError(f"__meta__ holds a value that is not a count: {meta.tolist()}")
     kind, fs, cap, width, n_classes, h, w, c, m1, m2, m3 = (int(v) for v in meta)
+    if kind not in (0, 1):
+        raise CheckpointFormatError(f"unknown model kind code {kind}")
     fs_kind = _decode(_FS_KINDS, fs, "feature-synthesis")
     capacity = _decode(_CAPACITIES, cap, "capacity")
     measurement = MeasurementConfig((m1, m2, m3))
+    _check_meta(records, kind, width, n_classes, (h, w, c), measurement.dims)
     if kind == 0:
         model = build_mcl((h, w, c), measurement, n_classes, fs_kind=fs_kind,
                           width=width, capacity=capacity, seed=0)
-    elif kind == 1:
+    else:
         model = build_prior((h, w, c), measurement, n_classes, width=width,
                             capacity=capacity, seed=0)
-    else:
-        raise CheckpointFormatError(f"unknown model kind code {kind}")
     _apply_records(model, records)
     return model
+
+
+def _check_meta(records, kind, width, n_classes, signal, m_dims) -> None:
+    """Tie every size in ``__meta__`` to the stored records before anything is
+    built, so no parameter the builders allocate outgrows what the file holds.
+    Every model's head starts with a (3, 3, channels, width) convolution,
+    holds a (3, 3, width, width) one and ends in a (classes, width) dense
+    weight; the sensing factors map the signal (the teacher's, its pooled
+    grid) onto the measurement dims."""
+    h, w, c = signal
+    if kind == 0:
+        sensed = signal
+    else:
+        p = _pool_stage_count(signal, m_dims)
+        sensed = (h >> p, w >> p, width)
+
+    def shapes(stack, rank):
+        return [records[name].shape for name in sorted(records)
+                if name.startswith(stack + ".") and records[name].ndim == rank]
+
+    first = records.get("head.0.w")
+    for what, ok in (
+        ("channels and width", first is not None and first.shape == (3, 3, c, width)),
+        ("width", (3, 3, width, width) in shapes("head", 4)),
+        ("class count", shapes("head", 2) == [(n_classes, width)]),
+        ("signal and measurement dims",
+         shapes("sensing", 2) == [(m, d) for m, d in zip(m_dims, sensed)]),
+    ):
+        if not ok:
+            raise CheckpointShapeError(f"__meta__ {what} do not match the stored records")
 
 
 def restore_parameters(model, path) -> None:

@@ -10,11 +10,17 @@ The label sentinel ``0xFFFFFFFF`` marks an unlabeled sample.  A dataset
 directory holds ``train.mcld`` and ``test.mcld`` plus an optional
 ``val.mcld``; unlabeled training samples ride inside ``train.mcld`` via the
 sentinel.  Pixel payloads are stored already scaled to [0, 1].
+
+Reading streams the records in ``tensor._CACHE_BYTES`` blocks through one
+buffer: labels first, then the payloads, copied block by block into the
+training, carved validation or pool array, so loading a dataset holds about
+its arrays plus two budgets, whatever the file size.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -94,10 +100,10 @@ def _record_dtype(path, dims) -> np.dtype:
 
 def _write_split(path, n_classes, *parts) -> None:
     """Write the header, then each ``(x, y)`` part as records, one
-    ``tensor._BLOCK_BYTES`` block at a time; label -1 becomes the sentinel."""
+    ``tensor._CACHE_BYTES`` block at a time; label -1 becomes the sentinel."""
     dims = np.shape(parts[0][0])[1:]
     dtype = _record_dtype(path, dims)
-    rows = max(1, tensor._BLOCK_BYTES // dtype.itemsize)
+    rows = max(1, tensor._CACHE_BYTES // dtype.itemsize)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack(f"<{4 + len(dims)}I", VERSION, sum(len(x) for x, _ in parts),
@@ -119,41 +125,82 @@ def write_split(path, x, y=None) -> None:
     _write_split(path, int(real.max()) + 1 if real.size else 0, (x, y))
 
 
-def _need(path, data, end) -> None:
-    if len(data) < end:
-        raise DatasetTruncatedError(f"{path}: file ends at byte {len(data)}, needed {end}")
+def _need(path, size, end) -> None:
+    if size < end:
+        raise DatasetTruncatedError(f"{path}: file ends at byte {size}, needed {end}")
+
+
+def _read_split(path, route):
+    """Stream one split's records in ``tensor._CACHE_BYTES`` blocks through one
+    reused buffer; returns ``(n_classes, [(x, y), ...])``.
+
+    The header is checked against the file size before anything is allocated,
+    and every label before any payload array is.  ``route(y)`` (-1 marks an
+    unlabeled row) gives one row mask per part; a second pass checks each
+    block for finiteness and copies its payloads into their parts, in file
+    order: a run of rows straight in, scattered rows through one gather."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        _need(path, size, 4)
+        if head[:4] != MAGIC:
+            raise DatasetFormatError(f"{path}: bad magic bytes; not a dataset file")
+        _need(path, size, 16)
+        version, count, rank = struct.unpack_from("<III", head, 4)
+        if version != VERSION:
+            raise DatasetFormatError(f"{path}: unsupported dataset version {version}")
+        if rank > 8:
+            raise DatasetFormatError(f"{path}: implausible sample rank {rank}")
+        header = 20 + 4 * rank
+        _need(path, size, header)
+        *dims, n_classes = struct.unpack(f"<{rank + 1}I", fh.read(4 * rank + 4))
+        end = header + count * 4 * (math.prod(dims) + 1)
+        _need(path, size, end)
+        if size > end:
+            raise DatasetFormatError(f"{path}: {size - end} trailing bytes")
+        dtype = _record_dtype(path, tuple(dims))
+        rows = max(1, tensor._CACHE_BYTES // dtype.itemsize)
+        buf = np.empty(min(rows, count), dtype)
+
+        def blocks():
+            fh.seek(header)
+            for start in range(0, count, rows):
+                block = buf[: min(rows, count - start)]
+                if fh.readinto(block) != block.nbytes:
+                    raise DatasetTruncatedError(f"{path}: file shrank while it was read")
+                yield start, block
+
+        y = np.empty(count, dtype=np.int64)
+        for start, block in blocks():
+            labels = block["y"]
+            bad = np.flatnonzero((labels != UNLABELED) & (labels >= n_classes))
+            if bad.size:
+                raise DatasetLabelError(f"{path}: sample {start + bad[0]} has label "
+                                        f"{labels[bad[0]]} but only {n_classes} classes "
+                                        f"are declared")
+            y[start : start + len(block)] = np.where(labels == UNLABELED, -1,
+                                                     labels.astype(np.int64))
+        masks = route(y)
+        parts = [np.empty((np.count_nonzero(m),) + tuple(dims), np.float32) for m in masks]
+        filled = [0] * len(parts)
+        for start, block in blocks():
+            x = block["x"]
+            if not np.isfinite(x).all():
+                raise DatasetFormatError(f"{path}: payload contains non-finite values")
+            for i, (mask, part) in enumerate(zip(masks, parts)):
+                rows_in = np.flatnonzero(mask[start : start + len(x)])
+                if rows_in.size:  # a run of rows is copied straight in
+                    first, last = rows_in[0], rows_in[-1]
+                    part[filled[i] : filled[i] + rows_in.size] = (
+                        x[first : last + 1] if last - first < rows_in.size else x[rows_in])
+                    filled[i] += rows_in.size
+    return n_classes, [(part, y[mask]) for part, mask in zip(parts, masks)]
 
 
 def read_split(path):
     """Read one split: ``(x, y, n_classes)``; unlabeled rows get label -1.
     The header is checked against the file length before any allocation."""
-    data = Path(path).read_bytes()
-    _need(path, data, 4)
-    if data[:4] != MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic bytes; not a dataset file")
-    _need(path, data, 16)
-    version, count, rank = struct.unpack_from("<III", data, 4)
-    if version != VERSION:
-        raise DatasetFormatError(f"{path}: unsupported dataset version {version}")
-    if rank > 8:
-        raise DatasetFormatError(f"{path}: implausible sample rank {rank}")
-    header = 20 + 4 * rank
-    _need(path, data, header)
-    *dims, n_classes = struct.unpack_from(f"<{rank + 1}I", data, 16)
-    end = header + count * 4 * (math.prod(dims) + 1)
-    _need(path, data, end)
-    if len(data) > end:
-        raise DatasetFormatError(f"{path}: {len(data) - end} trailing bytes")
-    records = np.frombuffer(data, _record_dtype(path, tuple(dims)), count, header)
-    labels = records["y"]
-    bad = np.flatnonzero((labels != UNLABELED) & (labels >= n_classes))
-    if bad.size:
-        raise DatasetLabelError(f"{path}: sample {bad[0]} has label {labels[bad[0]]} "
-                                f"but only {n_classes} classes are declared")
-    x = records["x"].astype(np.float32)
-    if not np.isfinite(x).all():
-        raise DatasetFormatError(f"{path}: payload contains non-finite values")
-    y = np.where(labels == UNLABELED, -1, labels.astype(np.int64))
+    n_classes, [(x, y)] = _read_split(path, lambda y: [np.ones(len(y), dtype=bool)])
     return x, y, n_classes
 
 
@@ -180,28 +227,32 @@ def load_dataset(directory) -> DatasetBundle:
         raise DatasetFormatError(
             f"{directory}: expected train.mcld and test.mcld"
         )
-    x, y, n_classes = read_split(train_path)
+    val_path = directory / "val.mcld"
+    carve = not val_path.exists()
+
+    def route(y):  # training rows, carved validation rows, pool rows
+        val = np.zeros(len(y), dtype=bool)
+        if carve:
+            labels = np.sort(y[y >= 0])
+            for c in labels[np.diff(labels, prepend=-1) > 0]:  # each class present
+                members = np.flatnonzero(y == c)
+                val[members[-max(1, len(members) // 10):]] = True
+        return [(y >= 0) & ~val, val, y < 0]
+
+    n_classes, ((train_x, train_y), (val_x, val_y), (pool_x, _)) = _read_split(
+        train_path, route)
     test_x, test_y, test_classes = read_split(test_path)
     n_classes = max(n_classes, test_classes)
-    val = np.zeros(len(y), dtype=bool)  # training rows carved into the validation set
-    val_path = directory / "val.mcld"
-    if val_path.exists():
+    if not carve:
         val_x, val_y, _ = read_split(val_path)
         if (val_y < 0).any():
             raise DatasetLabelError(f"{val_path}: validation rows must be labeled")
-    else:
-        for c in range(n_classes):
-            members = np.flatnonzero(y == c)
-            val[members[-max(1, len(members) // 10):]] = True
-        val_x, val_y = x[val], y[val]
     if (test_y < 0).any():
         raise DatasetLabelError(f"{test_path}: test rows must be labeled")
     for split, rows in (("validation", val_x), ("test", test_x)):
         if len(rows) == 0:
             raise DatasetFormatError(f"{directory}: the {split} split is empty")
-    train = (y >= 0) & ~val
-    return DatasetBundle(x[train], y[train], val_x, val_y, test_x, test_y,
-                         n_classes, x[y < 0])
+    return DatasetBundle(train_x, train_y, val_x, val_y, test_x, test_y, n_classes, pool_x)
 
 
 def split_semisup(bundle: DatasetBundle, labeled_fraction: float, seed: int) -> DatasetBundle:

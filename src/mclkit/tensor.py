@@ -33,13 +33,12 @@ __all__ = [
 ]
 
 _SIGN_TOL = 1e-12
-# Working set per block: float64 queries and screen rows in _nearest, records
-# in the .mcld writer (datasets._write_split).  The screen's GEMM runs faster
-# on these larger blocks than on cache-sized ones.
-_BLOCK_BYTES = 16 * 2**20
-# Working set that fits one core's L2: the float64 unfolding in hosvd_factors,
-# the widest activation of an inference chunk (layers._forward_chunks).  What
-# a pass holds above its input and output grows with this, not with the rows.
+# Working set that fits one core's L2, the one budget for every pass over
+# rows: the float64 unfolding in hosvd_factors, the widest activation of an
+# inference chunk (layers._forward_chunks), the float64 tiles and query blocks
+# of the nearest-neighbour screen (_nearest), and the record blocks that the
+# .mcld reader and writer stream (datasets).  What a pass holds above its
+# input and output grows with this, not with the rows.
 _CACHE_BYTES = 2 * 2**20
 
 
@@ -89,11 +88,15 @@ def _nearest(a, b, k) -> np.ndarray:
     Samples are flattened and compared by squared Euclidean distance in
     float64, ``((b - q) ** 2).sum(axis=1)`` for a query ``q``; the result is
     exactly a brute-force sort of those distances, then of the indices.  A
-    float64 GEMM screens every pair first, ``|q|^2 + |b|^2 - 2 q.b``, and only
-    the rows the screen cannot rule out get the exact distance.  Query blocks
-    keep their float64 working set near ``_BLOCK_BYTES``; the result depends
-    neither on the budget nor on BLAS's summation order or thread count."""
-    b = np.asarray(b, dtype=np.float64).reshape(len(b), -1)
+    float64 GEMM screens every pair first, ``|q|^2 + |b|^2 - 2 q.b``, within a
+    rounding bound.  Neither side is converted to float64 whole: the screen
+    runs over float64 tiles of rows of ``b`` and blocks of queries, each about
+    half of ``_CACHE_BYTES``.  Each query keeps its ``k`` smallest upper
+    bounds so far and the rows whose lower bound reaches the largest of them;
+    only the rows left after the last tile get the exact distance, a budget of
+    rows at a time.  The result depends neither on the budget nor on BLAS's
+    summation order or thread count."""
+    b = np.asarray(b).reshape(len(b), -1)
     n, size = b.shape
     a = np.asarray(a).reshape(len(a), size)
     # The screen and the exact distance differ by less than the bound.  With
@@ -110,40 +113,62 @@ def _nearest(a, b, k) -> np.ndarray:
     # cross products doubled, so underflow costs at most 2.5 D subnormals, and
     # the 2^-1021 term adds 4 (D + 8) of them.
     scale = 2 * (size + 8) * np.finfo(np.float64).eps
-    sq_b = np.einsum("ij,ij->i", b, b)
-    norm_b = np.sqrt(sq_b)
-    # Per query: its float64 row, three screen rows, about k gathered rows.
-    rows = max(1, _BLOCK_BYTES // (8 * (3 * n + (k + 1) * size)))
-    screen, bound, upper = np.empty((3, min(rows, len(a)), n))
-    out = np.empty((len(a), k), dtype=np.intp)
-    for start in range(0, len(a), rows):
-        q = a[start : start + rows].astype(np.float64)
-        r = len(q)
-        sq_q = np.einsum("ij,ij->i", q, q)
-        norm_q = np.sqrt(sq_q)
-        if not np.isfinite((norm_q.max() + norm_b.max()) ** 2):
-            raise NonFiniteError(
-                "non-finite values, or squared distances beyond float64")
-        approx, err, hi = screen[:r], bound[:r], upper[:r]
-        np.matmul(q, b.T, out=approx)
-        approx *= -2
-        approx += sq_q[:, None]
-        approx += sq_b
-        np.add(norm_q[:, None], norm_b, out=err)
-        np.square(err, out=err)
-        err += 2.0**-1021
-        err *= scale
-        # At least k rows have an exact distance <= the k-th smallest upper
-        # bound, so a row whose lower bound exceeds it is beaten by k others.
-        np.add(approx, err, out=hi)
-        hi.partition(k - 1, axis=1)
-        approx -= err
-        rows_of, cols = np.nonzero(approx <= hi[:, k - 1 : k])
-        d = ((b[cols] - q[rows_of]) ** 2).sum(axis=1)
-        order = np.lexsort((cols, d, rows_of))
-        first = np.searchsorted(rows_of, np.arange(r))
-        out[start : start + r] = cols[order[first[:, None] + np.arange(k)]]
-    return out
+    # Half the budget holds a float64 tile of rows of b, the other half a block
+    # of float64 queries and their three screen rows.
+    width = min(n, max(1, _CACHE_BYTES // (16 * size)))
+    rows = max(1, min(len(a), _CACHE_BYTES // (16 * (size + 3 * width + k))))
+    screen, bound = np.empty((2, rows * width))
+    merged = np.empty(rows * (k + width))
+    best = np.full((len(a), k), np.inf)  # each query's k smallest upper bounds so far
+    kept = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    # Tiles outside, so each tile is converted once.
+    for t in range(0, n, width):
+        tile = b[t : t + width].astype(np.float64, copy=False)
+        sq_t = np.einsum("ij,ij->i", tile, tile)
+        norm_t = np.sqrt(sq_t)
+        for s in range(0, len(a), rows):
+            q = a[s : s + rows].astype(np.float64, copy=False)
+            sq_q = np.einsum("ij,ij->i", q, q)
+            norm_q = np.sqrt(sq_q)
+            if not np.isfinite((norm_q.max() + norm_t.max()) ** 2):
+                raise NonFiniteError(
+                    "non-finite values, or squared distances beyond float64")
+            r, w = len(q), len(tile)
+            approx = screen[: r * w].reshape(r, w)
+            err = bound[: r * w].reshape(r, w)
+            np.matmul(q, tile.T, out=approx)
+            approx *= -2
+            approx += sq_q[:, None]
+            approx += sq_t
+            np.add(norm_q[:, None], norm_t, out=err)
+            np.square(err, out=err)
+            err += 2.0**-1021
+            err *= scale
+            hi = merged[: r * (k + w)].reshape(r, k + w)
+            hi[:, :k] = best[s : s + r]
+            np.add(approx, err, out=hi[:, k:])
+            hi.partition(k - 1, axis=1)
+            best[s : s + r] = hi[:, :k]
+            approx -= err
+            rows_of, cols = np.nonzero(approx <= hi[:, k - 1 : k])
+            kept.append((rows_of + s, cols + t, approx[rows_of, cols]))
+        # At least k rows have an exact distance <= a query's k-th smallest
+        # upper bound so far, so a row whose lower bound exceeds it is beaten
+        # by k others, wherever either lies.  The bound only falls as tiles
+        # pass, so dropping such rows after each tile keeps the k nearest.
+        rows_of, cols, lower = (np.concatenate(part) for part in zip(*kept))
+        near = lower <= best.max(axis=1)[rows_of]
+        kept = [(rows_of[near], cols[near], lower[near])]
+    rows_of, cols, _ = kept[0]
+    d = np.empty(len(cols))
+    step = max(1, _CACHE_BYTES // (16 * size))
+    for i in range(0, len(cols), step):
+        gathered = b[cols[i : i + step]].astype(np.float64, copy=False)
+        queries = a[rows_of[i : i + step]].astype(np.float64, copy=False)
+        d[i : i + step] = ((gathered - queries) ** 2).sum(axis=1)
+    order = np.lexsort((cols, d, rows_of))
+    first = np.searchsorted(rows_of[order], np.arange(len(a)))
+    return cols[order[first[:, None] + np.arange(k)]]
 
 
 def _as_factor(w, t, k):

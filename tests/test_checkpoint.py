@@ -12,6 +12,7 @@ from mclkit.errors import (
     CheckpointShapeError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    MclError,
 )
 from mclkit.models import build_mcl, build_prior
 
@@ -202,3 +203,93 @@ def test_non_finite_parameter_is_format_error(tmp_path, model, bad):
         checkpoint.load_checkpoint(path)
     with pytest.raises(CheckpointFormatError, match=match):
         checkpoint.restore_parameters(model, path)
+
+
+_PRIOR_META = [1, 0, 0, 4, 4, 8, 8, 1, 3, 3, 1]
+
+
+class _Built(Exception):
+    """Raised by a builder patched in to prove that nothing was built."""
+
+
+@pytest.fixture
+def builders_raise(monkeypatch):
+    def built(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr(checkpoint, "build_mcl", built)
+    monkeypatch.setattr(checkpoint, "build_prior", built)
+
+
+@pytest.mark.parametrize("kind", ["mcl", "prior"])
+@pytest.mark.parametrize("index,value", [
+    (3, 100_000), (3, 5), (3, 3),              # width
+    (4, 100_000), (4, 3),                      # class count
+    (5, 2**20), (5, 16), (6, 9), (7, 3),       # signal dims
+    (8, 2), (9, 1), (10, 2),                   # measurement dims
+], ids=lambda v: str(v))
+def test_crafted_meta_raises_before_building(tmp_path, builders_raise, kind, index, value):
+    m = build_mcl((8, 8, 1), (3, 3, 1), 4, fs_kind="nonlinear", width=4, seed=7) \
+        if kind == "mcl" else build_prior((8, 8, 1), (3, 3, 1), 4, width=4, seed=3)
+    meta = list(_META if kind == "mcl" else _PRIOR_META)
+    params = [_record(p.name, p.value) for p in m.all_params()]
+    path = tmp_path / "m.mclk"
+    _write_checkpoint(path, _record("__meta__", meta), *params)
+    with pytest.raises(_Built):  # the true metadata reaches the builder
+        checkpoint.load_checkpoint(path)
+    meta[index] = value
+    _write_checkpoint(path, _record("__meta__", meta), *params)
+    with pytest.raises((CheckpointShapeError, CheckpointFormatError)):
+        checkpoint.load_checkpoint(path)
+
+
+def test_one_record_crafted_to_a_large_width_is_not_enough(tmp_path, builders_raise, model):
+    # head.0.w and __meta__ agree on a width of 5000, but no stored record
+    # holds the width x width convolutions the builder would allocate.
+    meta = list(_META)
+    meta[3] = 5000
+    params = [_record(p.name, np.zeros((3, 3, 1, 5000)) if p.name == "head.0.w" else p.value)
+              for p in model.all_params()]
+    _write_checkpoint(tmp_path / "m.mclk", _record("__meta__", meta), *params)
+    with pytest.raises(CheckpointShapeError, match="width"):
+        checkpoint.load_checkpoint(tmp_path / "m.mclk")
+
+
+def test_empty_record_with_overflowing_dims_is_format_error(tmp_path):
+    _write_checkpoint(tmp_path / "m.mclk", struct.pack("<I", 1) + b"w"
+                      + struct.pack("<IIII", 3, 0, 0xFFFFFFFF, 0xFFFFFFFF))
+    with pytest.raises(CheckpointFormatError, match="declares dims"):
+        checkpoint.load_checkpoint(tmp_path / "m.mclk")
+
+
+def test_mutated_payloads_raise_only_typed_errors(tmp_path):
+    # Seeded mutations of valid checkpoints, CRC fixed up: random bytes,
+    # random u32 fields and crafted __meta__ counts.  Loading either succeeds
+    # or raises an MclError subclass, never an untyped error.
+    rng = np.random.default_rng(2603)
+    models = [build_mcl((8, 8, 1), (3, 3, 1), 4, fs_kind="nonlinear", width=4, seed=7),
+              build_mcl((8, 6, 2), (2, 3, 1), 3, width=2, seed=1),
+              build_prior((8, 8, 1), (3, 3, 1), 4, width=4, seed=3)]
+    bodies = [checkpoint.dumps(m)[:-4] for m in models]
+    meta_at = 8 + 4 + len("__meta__") + 8  # first meta value: after magic, version, header
+    path = tmp_path / "m.mclk"
+    for case in range(300):
+        body = bytearray(bodies[case % len(bodies)])
+        for _ in range(rng.integers(1, 4)):
+            kind = rng.integers(3)
+            if kind == 0:
+                body[int(rng.integers(8, len(body)))] = int(rng.integers(256))
+            elif kind == 1:  # a u32 field: a small count, a large one or an extreme one
+                at = int(rng.integers(8, len(body) - 3))
+                word = int(rng.choice([rng.integers(0, 16), rng.integers(0, 2**20),
+                                       2**32 - 1, 2**31]))
+                body[at : at + 4] = struct.pack("<I", word)
+            else:  # a metadata count: small, or far beyond memory
+                at = meta_at + 4 * int(rng.integers(11))
+                count = float(rng.choice([rng.integers(0, 20), 2.0**30, 2.0**40]))
+                body[at : at + 4] = struct.pack("<f", count)
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        try:
+            checkpoint.load_checkpoint(path)
+        except MclError:
+            pass

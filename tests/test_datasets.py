@@ -19,6 +19,7 @@ from mclkit.errors import (
     DatasetFormatError,
     DatasetLabelError,
     DatasetTruncatedError,
+    MclError,
 )
 
 
@@ -110,6 +111,53 @@ class TestSplitFiles:
         path.write_bytes(b"MCLD" + struct.pack("<IIIIIII", 1, 0, 3, 65535, 65535, 65535, 10))
         with pytest.raises(DatasetFormatError, match="too large"):
             read_split(path)
+
+
+def test_mutated_splits_raise_only_typed_errors(tmp_path, monkeypatch):
+    # Seeded mutations of a split read in blocks of five records, through
+    # read_split and load_dataset: each targeted mutation raises its typed
+    # error, and random byte edits raise nothing but MclError subclasses.
+    monkeypatch.setattr(tensor, "_CACHE_BYTES", 5 * 28)  # 3x2x1 float32 + a label
+    rng = np.random.default_rng(2604)
+    x = rng.random((23, 3, 2, 1)).astype(np.float32)
+    y = rng.integers(0, 3, size=23)
+    y[::5] = -1
+    write_split(tmp_path / "test.mcld", x[:4], np.arange(4) % 3)
+    path = tmp_path / "train.mcld"
+    write_split(path, x, y)
+    good = path.read_bytes()
+    record = 32 + 28 * np.arange(23)  # 32-byte header; payload, then label
+    for case in range(400):
+        raw = bytearray(good)
+        kind = case % 6
+        if kind == 0:  # more records than the file holds
+            raw[8:12] = struct.pack("<I", int(rng.integers(24, 2**32)))
+        elif kind == 1:  # a larger sample shape than the file holds
+            at = 16 + 4 * int(rng.integers(3))
+            dim = struct.unpack_from("<I", raw, at)[0]
+            raw[at : at + 4] = struct.pack("<I", int(rng.integers(dim + 1, 2**32)))
+        elif kind == 2:
+            raw[12:16] = struct.pack("<I", int(rng.integers(9, 2**32)))
+        elif kind == 3:  # a label at or past the class count, not the sentinel
+            at = int(record[rng.integers(23)]) + 24
+            raw[at : at + 4] = struct.pack("<I", int(rng.integers(3, 2**32 - 1)))
+        elif kind == 4:  # NaN or infinity in the last block
+            at = int(record[rng.integers(20, 23)]) + 4 * int(rng.integers(6))
+            raw[at : at + 4] = struct.pack("<f", rng.choice([np.nan, np.inf, -np.inf]))
+        else:
+            for _ in range(rng.integers(1, 4)):
+                raw[int(rng.integers(len(raw)))] = int(rng.integers(256))
+            raw = raw[: int(rng.integers(len(raw) - 8, len(raw) + 8))] + bytes(8)
+        path.write_bytes(bytes(raw))
+        expected = (DatasetTruncatedError, DatasetTruncatedError, DatasetFormatError,
+                    DatasetLabelError, DatasetFormatError, MclError)[kind]
+        for read in (read_split, lambda p: load_dataset(p.parent)):
+            try:  # any other error fails the test, under python -O too
+                read(path)
+            except expected:
+                continue
+            if kind != 5:
+                pytest.fail(f"mutation {case} of kind {kind} raised nothing")
 
 
 def _per_sample_write(path, x, y, n_classes):
@@ -348,7 +396,7 @@ class TestSynthDataset:
         whole = ((flat[:, None, :] - t[None, :, :]) ** 2).sum(axis=2)
         expected = float(np.mean(whole.argmin(axis=1) == b.train_y))
         assert nearest_template_accuracy(b.train_x, b.train_y, b.templates) == expected
-        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(tensor, "_CACHE_BYTES", 1)
         assert nearest_template_accuracy(b.train_x, b.train_y, b.templates) == expected
 
     def test_values_in_unit_range(self):

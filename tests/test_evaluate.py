@@ -127,7 +127,7 @@ class TestKnn:
         y_train = np.random.default_rng(4).integers(0, 3, size=len(bundle.train_x))
         args = (model, bundle.train_x, y_train, bundle.test_x, bundle.test_y)
         expected = knn_compressive(*args, k=k)
-        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(tensor, "_CACHE_BYTES", 1)
         assert knn_compressive(*args, k=k) == expected
 
     def test_k_too_large_rejected(self, bundle, model):

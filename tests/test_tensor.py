@@ -315,7 +315,7 @@ def test_distance_blocks_match_whole_array_bitwise(monkeypatch, budget):
     rng = np.random.default_rng(20)
     a = rng.random((23, 4, 3)).astype(np.float32)
     b = rng.random((7, 4, 3)).astype(np.float32)
-    monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(tensor, "_CACHE_BYTES", budget)
     for k in (1, 3, 7):
         got = tensor._nearest(a, b, k)
         assert got.dtype == np.intp
@@ -348,7 +348,7 @@ def _nearest_cases():
 def test_nearest_matches_brute_force_on_ties_and_cancellation(monkeypatch, case):
     a, b = _nearest_cases()[case]
     for budget in (1, 2**30):
-        monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(tensor, "_CACHE_BYTES", budget)
         for k in (1, 4, len(b)):
             assert np.array_equal(tensor._nearest(a, b, k), _brute_nearest(a, b, k))
 
