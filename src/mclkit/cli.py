@@ -29,7 +29,7 @@ from .distill import (
     train_prior_supervised,
 )
 from .errors import CheckpointError, ConfigError, DatasetError, MclError
-from .evaluate import _row, _rows_to_csv, accuracy, knn_compressive, run_ablation
+from .evaluate import _CsvReport, _row, accuracy, knn_compressive, run_ablation
 from .models import MeasurementConfig, build_mcl, build_prior
 from .optimize import TrainConfig, TrainHistory
 
@@ -293,7 +293,7 @@ def _cmd_eval(args, values, seeds):
     row = _row("eval", model.measurement, seeds[0], metric, value)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(_rows_to_csv([row]))
+    _CsvReport([row]).write_csv(out / "report.csv")
     print(f"{metric}: {value:.4f} ({runtime:.1f}s)")
     return 0
 

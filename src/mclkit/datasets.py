@@ -219,6 +219,8 @@ def load_dataset(directory) -> DatasetBundle:
 
     A missing ``val.mcld`` is carved from the training file: the last
     ``max(1, n_c // 10)`` of each class's ``n_c`` labeled rows, in file order.
+    A file that declares more classes than the dataset's labeled rows (all
+    splits together) raises :class:`~mclkit.errors.DatasetFormatError`.
     """
     directory = Path(directory)
     train_path = directory / "train.mcld"
@@ -242,11 +244,18 @@ def load_dataset(directory) -> DatasetBundle:
     n_classes, ((train_x, train_y), (val_x, val_y), (pool_x, _)) = _read_split(
         train_path, route)
     test_x, test_y, test_classes = read_split(test_path)
+    declared = [(train_path, n_classes), (test_path, test_classes)]
     n_classes = max(n_classes, test_classes)
     if not carve:
-        val_x, val_y, _ = read_split(val_path)
+        val_x, val_y, val_classes = read_split(val_path)
+        declared.append((val_path, val_classes))
         if (val_y < 0).any():
             raise DatasetLabelError(f"{val_path}: validation rows must be labeled")
+    labeled = len(train_y) + len(val_y) + len(test_y)
+    for path, classes in declared:
+        if classes > labeled:
+            raise DatasetFormatError(f"{path}: declares {classes} classes, more than the "
+                                     f"{labeled} labeled rows of the dataset")
     if (test_y < 0).any():
         raise DatasetLabelError(f"{test_path}: test rows must be labeled")
     for split, rows in (("validation", val_x), ("test", test_x)):
@@ -336,37 +345,31 @@ def synth_dataset(seed, shape=(16, 16, 1), classes=4, n_per_class=200,
     if test_per_class is None:
         test_per_class = max(2, n_per_class // 4)
     per_class = n_per_class + val_per_class + test_per_class
+
+    def labels(rows):  # each class's label on its ``rows`` rows, classes in order
+        return np.repeat(np.arange(classes, dtype=np.int64), rows)
+
     for attempt in range(5):
         rng = np.random.default_rng(seed + 1_000_003 * attempt)
         templates = np.stack([_low_rank_template(rng, shape) for _ in range(classes)])
-        x = np.empty((classes * per_class,) + shape, dtype=np.float32)
-        y = np.empty(classes * per_class, dtype=np.int64)
+        x = np.empty((classes, per_class) + shape, dtype=np.float32)
         for c in range(classes):
-            block = slice(c * per_class, (c + 1) * per_class)
-            noisy = templates[c][None] + noise * rng.normal(size=(per_class,) + shape)
-            x[block] = np.clip(noisy, 0.0, 1.0).astype(np.float32)
-            y[block] = c
-        if noise > 0.1 or nearest_template_accuracy(x, y, templates) >= 0.99:
+            x[c] = np.clip(templates[c] + noise * rng.normal(size=(per_class,) + shape), 0, 1)
+        if noise > 0.1 or nearest_template_accuracy(
+                x.reshape((-1,) + shape), labels(per_class), templates) >= 0.99:
             break
     else:
         raise ConfigError(
             f"could not draw separable templates for shape {shape} at noise {noise}"
         )
-    train_idx, val_idx, test_idx = [], [], []
-    for c in range(classes):
-        base = c * per_class
-        train_idx.extend(range(base, base + n_per_class))
-        val_idx.extend(range(base + n_per_class, base + n_per_class + val_per_class))
-        test_idx.extend(range(base + n_per_class + val_per_class, base + per_class))
-    train_idx = np.asarray(train_idx)[rng.permutation(len(train_idx))]
+    # Each class's rows: training, then validation, then test; the training
+    # rows of all classes are then shuffled.
+    train, val, test = np.split(x, [n_per_class, n_per_class + val_per_class], axis=1)
+    order = rng.permutation(classes * n_per_class)
     bundle = DatasetBundle(
-        train_x=x[train_idx],
-        train_y=y[train_idx],
-        val_x=x[np.asarray(val_idx)],
-        val_y=y[np.asarray(val_idx)],
-        test_x=x[np.asarray(test_idx)],
-        test_y=y[np.asarray(test_idx)],
-        n_classes=classes,
+        train[np.divmod(order, n_per_class)], labels(n_per_class)[order],
+        val.reshape((-1,) + shape), labels(val_per_class),
+        test.reshape((-1,) + shape), labels(test_per_class), classes,
     )
     bundle.templates = templates  # kept for oracle checks
     return bundle

@@ -130,6 +130,17 @@ def _check_measurement_match(student, teacher):
         )
 
 
+def _fit(stacks, bundle, cfg) -> TrainHistory:
+    """Cross-entropy on the labeled rows, selected on validation accuracy."""
+    return train(SupervisedObjective(stacks),
+                 bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg)
+
+
+def _reconstruct(model, x, bundle, cfg) -> TrainHistory:
+    """l1 reconstruction of ``x`` through sensing + synthesis, selected on validation."""
+    return train(OutputMatchingObjective(model.stacks()[:2]), x, None, bundle.val_x, None, cfg)
+
+
 # --------------------------------------------------------------------------
 # Teacher training
 # --------------------------------------------------------------------------
@@ -137,16 +148,8 @@ def _check_measurement_match(student, teacher):
 def _pretrain_prior(prior, bundle, recon_x, cfg) -> dict[str, TrainHistory]:
     """The teacher's first two procedures: the head on the labeled raw
     signals, then the encoder/decoder as an l1 autoencoder on ``recon_x``."""
-    return {
-        "head_pretrain": train(
-            SupervisedObjective([prior.head]),
-            bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-        ),
-        "reconstruction": train(
-            OutputMatchingObjective(prior.stacks()[:2]),
-            recon_x, None, bundle.val_x, None, cfg,
-        ),
-    }
+    return {"head_pretrain": _fit([prior.head], bundle, cfg),
+            "reconstruction": _reconstruct(prior, recon_x, bundle, cfg)}
 
 
 def train_prior_supervised(prior: PriorModel, bundle: DatasetBundle,
@@ -154,10 +157,7 @@ def train_prior_supervised(prior: PriorModel, bundle: DatasetBundle,
     """Train the teacher on labeled data: head on raw signals, then the
     encoder/decoder as an l1 autoencoder, then all three parts jointly."""
     stages = _pretrain_prior(prior, bundle, bundle.train_x, cfg)
-    stages["joint"] = train(
-        SupervisedObjective(prior.stacks()),
-        bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-    )
+    stages["joint"] = _fit(prior.stacks(), bundle, cfg)
     return PipelineResult(prior, stages, {"kind": "prior_supervised"})
 
 
@@ -392,16 +392,9 @@ def train_mcl_baseline(student: MclModel, bundle: DatasetBundle,
     end-to-end inference training."""
     if student.fs_kind != "multilinear":
         raise ConfigError("the baseline student uses multilinear feature synthesis")
-    stages: dict[str, TrainHistory] = {}
-    stages["head_pretrain"] = train(
-        SupervisedObjective([student.head]),
-        bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-    )
+    stages = {"head_pretrain": _fit([student.head], bundle, cfg)}
     hosvd_init(student, bundle.train_x)
-    stages["end_to_end"] = train(
-        SupervisedObjective(student.stacks()),
-        bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-    )
+    stages["end_to_end"] = _fit(student.stacks(), bundle, cfg)
     return PipelineResult(student, stages, {"kind": "mcl_baseline"})
 
 
@@ -410,13 +403,6 @@ def train_mclwop(student: MclModel, bundle: DatasetBundle,
     """No-teacher control for the nonlinear-synthesis architecture:
     l1 reconstruction pretraining of sensing + synthesis, then end-to-end
     inference training."""
-    stages: dict[str, TrainHistory] = {}
-    stages["reconstruction"] = train(
-        OutputMatchingObjective(student.stacks()[:2]),
-        bundle.train_x, None, bundle.val_x, None, cfg,
-    )
-    stages["end_to_end"] = train(
-        SupervisedObjective(student.stacks()),
-        bundle.train_x, bundle.train_y, bundle.val_x, bundle.val_y, cfg,
-    )
+    stages = {"reconstruction": _reconstruct(student, bundle.train_x, bundle, cfg),
+              "end_to_end": _fit(student.stacks(), bundle, cfg)}
     return PipelineResult(student, stages, {"kind": "mclwop"})

@@ -27,7 +27,7 @@ from .distill import (
 )
 from .errors import ConfigError
 from .models import MeasurementConfig, build_mcl, build_prior
-from .optimize import TrainConfig, _check_labels
+from .optimize import TrainConfig, _check_labels, _CsvTable, _csv_text
 
 __all__ = [
     "accuracy",
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _FIELDS = ("run_id", "mask_s1", "mask_s2", "mask_s3", "config", "seed", "metric", "value")
-CSV_HEADER = ",".join(_FIELDS)
 
 
 def _row(run_id, config, seed, metric, value, mask=("", "", "")) -> dict:
@@ -47,14 +46,6 @@ def _row(run_id, config, seed, metric, value, mask=("", "", "")) -> dict:
     if not isinstance(config, MeasurementConfig):
         config = MeasurementConfig(tuple(config))
     return dict(zip(_FIELDS, (run_id, *mask, str(config), seed, metric, value)))
-
-
-def _rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        *cells, value = (r[f] for f in _FIELDS)
-        lines.append(",".join(map(str, cells)) + f",{value!r}")
-    return "\n".join(lines) + "\n"
 
 
 def accuracy(model, test_x, test_y) -> float:
@@ -101,17 +92,14 @@ def _students(n, bundle, measurement, width, capacity, seed) -> list:
 
 
 @dataclass
-class _CsvReport:
+class _CsvReport(_CsvTable):
     """Report rows in the shared CSV schema."""
 
     rows: list = field(default_factory=list)
 
     def csv_text(self) -> str:
-        return _rows_to_csv(self.rows)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
+        return _csv_text(_FIELDS, ([*(r[f] for f in _FIELDS[:-1]), repr(r["value"])]
+                                   for r in self.rows))
 
 
 @dataclass

@@ -11,12 +11,12 @@ its batch, so a sample's output bits do not depend on its batch: how many rows
 it runs with, or which.  Inference may therefore chunk rows freely, and
 outputs computed once equal those of per-batch runs bit for bit.  A chunk
 holds as many rows as keep its widest activation within about one core's L2
-(``tensor._CACHE_BYTES``).  Because inference writes no layer state, the
-chunks of one call run on a pool of worker threads that the call makes and
-shuts down: one per core in the process's affinity mask (``taskset`` caps
+(``tensor._CACHE_BYTES``).  Because inference writes no layer state, an input
+of more than one chunk runs on a pool of worker threads that the call makes
+and shuts down: one per core in the process's affinity mask (``taskset`` caps
 it), so one on one core, and one whenever BLAS is not pinned to one thread
-(see ``mclkit/__init__.py``).  No pool outlives its call, so a forked child
-inherits none.
+(see ``mclkit/__init__.py``); an input of one chunk runs on the calling
+thread.  No pool outlives its call, so a forked child inherits none.
 """
 
 from __future__ import annotations
@@ -469,9 +469,6 @@ def _inference_workers():
 
 
 _WORKERS = _inference_workers()
-# An input of fewer values than this gets one worker, since a split across
-# cores costs more than the cores save.  Output bits do not depend on it.
-_POOL_MIN_VALUES = 1 << 17
 
 
 def _forward_chunks(stacks, x):
@@ -481,24 +478,23 @@ def _forward_chunks(stacks, x):
     A chunk holds as many rows as keep the path's widest activation (its
     input, or any layer's output) within ``tensor._CACHE_BYTES``, at least
     one, so memory above the input and output grows with the workers, not
-    with the rows.  Inputs of at least ``_POOL_MIN_VALUES`` values get every
-    worker and equal chunks, their count a multiple of the worker count;
-    smaller ones get one worker.  The chunks run on a pool made for this call,
-    and the first failing one in row order raises; an input of one chunk runs
-    on the calling thread.  An empty input makes one zero-row pass, so the
+    with the rows.  An input of one chunk runs on the calling thread.  A
+    longer one gets every worker and equal chunks, their count a multiple of
+    the worker count, on a pool made for this call; the first failing chunk
+    in row order raises.  An empty input makes one zero-row pass, so the
     result keeps its sample shape; an empty path returns ``x`` itself.
     """
     x = np.asarray(x)
     if not stacks:
         return x
     n = len(x)
-    workers = min(_WORKERS, n) if x.size >= _POOL_MIN_VALUES else 1
     widest = max(math.prod(shape) for s in stacks
                  for shape in (*s._layer_in_shapes, s.out_shape))
     rows = max(1, tensor._CACHE_BYTES // (widest * x.itemsize))
-    k = workers * -(-n // (rows * workers))
-    if k <= 1:
+    if n <= rows:
         return _forward_path(stacks, x)
+    workers = min(_WORKERS, n)
+    k = workers * -(-n // (rows * workers))
     bounds = [n * i // k for i in range(k + 1)]
     first = _forward_path(stacks, x[:0])  # gives the output's sample shape and dtype
     out = np.empty((n,) + first.shape[1:], dtype=first.dtype)

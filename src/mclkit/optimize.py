@@ -191,8 +191,21 @@ def augment(batch, flip: bool, shift_fraction: float, rng):
     return out
 
 
+def _csv_text(header, rows) -> str:
+    """Comma-joined ``str`` cells, a line each; the owner formats floats first."""
+    return "".join(",".join(map(str, cells)) + "\n" for cells in (header, *rows))
+
+
+class _CsvTable:
+    """A table that writes its :meth:`csv_text` to a file."""
+
+    def write_csv(self, path) -> None:
+        with open(path, "w") as fh:
+            fh.write(self.csv_text())
+
+
 @dataclass
-class TrainHistory:
+class TrainHistory(_CsvTable):
     """Per-epoch log of one optimization procedure."""
 
     rows: list = field(default_factory=list)  # (epoch, lr, train_loss, val_metric)
@@ -202,14 +215,8 @@ class TrainHistory:
     seconds: float = 0.0  # wall time of the epoch loop, set by train()
 
     def csv_text(self) -> str:
-        lines = ["epoch,lr,train_loss,val_metric"]
-        for epoch, lr, loss, val in self.rows:
-            lines.append(f"{epoch},{lr:g},{loss!r},{val!r}")
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
+        return _csv_text(("epoch", "lr", "train_loss", "val_metric"),
+                         ((e, f"{lr:g}", repr(loss), repr(val)) for e, lr, loss, val in self.rows))
 
 
 def _check_labels(what, x, y) -> None:

@@ -149,6 +149,21 @@ class TestValidation:
         assert code == 2
         assert not out.exists()
 
+    def test_crafted_class_count_exits_2_before_training(self, dataset_dir, tmp_path,
+                                                         config_file, capsys):
+        # 2**31 declared classes would size the teacher's head at 64 GiB.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir / "plain", data)
+        raw = bytearray((data / "test.mcld").read_bytes())
+        raw[28:32] = (2**31).to_bytes(4, "little")  # after magic, 3 counts, 3 dims
+        (data / "test.mcld").write_bytes(bytes(raw))
+        out = tmp_path / "out"
+        code = main(["train-prior", "--dataset", str(data), "--config", str(config_file),
+                     "--measurement", "3x3x1", "--out", str(out)])
+        assert code == 2
+        assert "test.mcld: declares 2147483648 classes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_rejects_unknown_keys(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("warp_speed=9\n")

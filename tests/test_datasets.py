@@ -6,6 +6,7 @@ import pytest
 from mclkit import tensor
 from mclkit.datasets import (
     DatasetBundle,
+    _low_rank_template,
     load_dataset,
     nearest_template_accuracy,
     read_split,
@@ -284,6 +285,24 @@ class TestBundleIO:
         assert rows(given.unlabeled_x) == [3, 8, 25, 28]
         assert rows(given.val_x) == [0, 1, 2]
 
+    def test_class_count_beyond_the_labeled_rows_rejected(self, tmp_path):
+        bundle = synth_dataset(1, (8, 8, 1), 3, n_per_class=10, noise=0.02)
+        save_dataset(bundle, tmp_path)
+        labeled = len(bundle.train_x) + len(bundle.val_x) + len(bundle.test_x)
+        for name, classes in (("test.mcld", labeled), ("test.mcld", 2**31),
+                              ("val.mcld", labeled + 1), ("train.mcld", labeled + 1)):
+            raw = bytearray((tmp_path / name).read_bytes())
+            struct.pack_into("<I", raw, 28, classes)  # after magic, 3 counts, 3 dims
+            (tmp_path / name).write_bytes(bytes(raw))
+            if classes == labeled:
+                assert load_dataset(tmp_path).n_classes == labeled
+                continue
+            with pytest.raises(DatasetFormatError,
+                               match=f"{name}: declares {classes} classes, more than the "
+                                     f"{labeled} labeled rows"):
+                load_dataset(tmp_path)
+            save_dataset(bundle, tmp_path)
+
     def test_missing_files(self, tmp_path):
         with pytest.raises(DatasetFormatError):
             load_dataset(tmp_path)
@@ -403,6 +422,32 @@ class TestSynthDataset:
         b = synth_dataset(6, (8, 8, 1), 3, n_per_class=10, noise=0.3)
         for x in (b.train_x, b.val_x, b.test_x):
             assert x.min() >= 0.0 and x.max() <= 1.0
+
+    def test_split_layout_is_pinned(self):
+        # Each class draws its training, then validation, then test rows in
+        # one normal draw after all templates; the training rows of every
+        # class are then permuted by the same generator.
+        shape, classes, n, n_eval = (8, 8, 1), 3, 6, 2
+        rng = np.random.default_rng(0)
+        templates = np.stack([_low_rank_template(rng, shape) for _ in range(classes)])
+        draws = [np.clip(t + 0.05 * rng.normal(size=(n + 2 * n_eval,) + shape), 0.0, 1.0)
+                 .astype(np.float32) for t in templates]
+        order = rng.permutation(classes * n)
+        expected = (
+            np.concatenate([d[:n] for d in draws])[order],
+            np.repeat(np.arange(classes), n)[order],
+            np.concatenate([d[n : n + n_eval] for d in draws]),
+            np.repeat(np.arange(classes), n_eval),
+            np.concatenate([d[n + n_eval :] for d in draws]),
+            np.repeat(np.arange(classes), n_eval),
+        )
+        b = synth_dataset(0, shape, classes, n_per_class=n, noise=0.05)
+        got = (b.train_x, b.train_y, b.val_x, b.val_y, b.test_x, b.test_y)
+        for name, g, e in zip(("train_x", "train_y", "val_x", "val_y", "test_x", "test_y"),
+                              got, expected):
+            assert g.dtype == e.dtype and g.shape == e.shape, name
+            assert g.tobytes() == e.tobytes(), name
+        assert np.array_equal(b.templates, templates)
 
     def test_degenerate_args_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from mclkit import (
     train_prior_supervised,
 )
 from mclkit.errors import ConfigError, NonFiniteError
-from mclkit.evaluate import accuracy
+from mclkit.evaluate import AblationReport, PriorEffectReport, _row, accuracy
 from mclkit.optimize import SupervisedObjective, train
 
 SIGNAL = (8, 8, 1)
@@ -238,6 +240,23 @@ class TestAblation:
         assert {line.split(",")[4] for line in lines[1:]} == {"3x3x1"}
         rerun = run_ablation(bundle, cfg, (3, 3, 1), width=4)
         assert rerun.csv_text() == rep.csv_text()
+
+
+def test_report_csv_bytes(tmp_path):
+    # config as M1xM2xM3, the value by repr, mask and seed cells by str
+    report = AblationReport(rows=[
+        _row("ablate-101-seed0", (4, 4, 1), 0, "test_accuracy", 0.1 + 0.2, (1, 0, 1)),
+        _row("eval", (14, 11, 2), 3, "knn5_accuracy", 1.5e-05, (1, "", "")),
+        _row("mclwop-median", (4, 4, 1), -1, "median_test_accuracy", math.nan),
+    ])
+    text = ("run_id,mask_s1,mask_s2,mask_s3,config,seed,metric,value\n"
+            "ablate-101-seed0,1,0,1,4x4x1,0,test_accuracy,0.30000000000000004\n"
+            "eval,1,,,14x11x2,3,knn5_accuracy,1.5e-05\n"
+            "mclwop-median,,,,4x4x1,-1,median_test_accuracy,nan\n")
+    assert report.csv_text() == text
+    report.write_csv(tmp_path / "report.csv")
+    assert (tmp_path / "report.csv").read_bytes() == text.encode()
+    assert PriorEffectReport().csv_text() == text.split("\n")[0] + "\n"
 
 
 class TestPriorEffect:

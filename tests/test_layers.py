@@ -479,25 +479,34 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
 
 
 def test_pooled_chunks_run_on_the_pool(monkeypatch):
-    ran_on = set()
+    ran_on = []  # (rows, on a pool thread) of each pass
     forward_path = layers._forward_path
 
     def spy(stacks, x, training=False):
-        ran_on.add(threading.current_thread().name.startswith("mclkit"))
+        ran_on.append((len(x), threading.current_thread().name.startswith("mclkit")))
         return forward_path(stacks, x, training)
 
+    def passes(stack, x):
+        ran_on.clear()
+        out = layers._forward_chunks([stack], x)
+        assert np.array_equal(out, x)
+        return ran_on[0], sorted(ran_on[1:])
+
     monkeypatch.setattr(layers, "_forward_path", spy)
-    monkeypatch.setattr(tensor, "_CACHE_BYTES", 256 * 512 * 4)  # 256 rows a chunk
-    stack = LayerStack([ReLU()], (512,))
     monkeypatch.setattr(layers, "_WORKERS", 2)
-    layers._forward_chunks([stack], np.ones((255, 512), dtype=np.float32))
-    assert ran_on == {False}, "below 2**17 values a pass stays on the calling thread"
-    layers._forward_chunks([stack], np.ones((257, 512), dtype=np.float32))
-    assert True in ran_on
-    ran_on.clear()
+    for width in (256, 1024):  # 256-row chunks of 2**16, then 2**18 values: rows decide
+        monkeypatch.setattr(tensor, "_CACHE_BYTES", 256 * width * 4)  # 256 rows a chunk
+        stack = LayerStack([ReLU()], (width,))
+        assert passes(stack, np.ones((256, width), np.float32)) == ((256, False), []), \
+            "an input of one chunk runs on the calling thread"
+        assert passes(stack, np.ones((257, width), np.float32)) == (
+            (0, False), [(128, True), (129, True)]), \
+            "a longer one runs in a chunk per worker on the pool, after a shape pass"
+        assert passes(stack, np.ones((0, width), np.float32)) == ((0, False), []), \
+            "an empty input makes one zero-row pass on the calling thread"
     monkeypatch.setattr(layers, "_WORKERS", 1)
-    layers._forward_chunks([stack], np.ones((1000, 512), dtype=np.float32))
-    assert ran_on == {False, True}, "the shape pass runs on the caller, the chunks on the pool"
+    assert passes(stack, np.ones((1000, 1024), np.float32)) == (
+        (0, False), [(250, True)] * 4), "one worker still runs the chunks on the pool"
 
 
 def test_empty_path_returns_its_input():

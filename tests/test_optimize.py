@@ -11,6 +11,7 @@ from mclkit.optimize import (
     OutputMatchingObjective,
     SupervisedObjective,
     TrainConfig,
+    TrainHistory,
     augment,
     max_norm_project,
     shift2d,
@@ -284,6 +285,18 @@ class TestTrainLoop:
 
         train(SupervisedObjective([stack]), x, y, x, y, cfg, epoch_end=check)
         assert seen and max(seen) <= 0.5 + 1e-5
+
+    def test_history_csv_bytes(self, tmp_path):
+        # lr by :g, loss and validation metric by repr
+        history = TrainHistory(rows=[(0, 1.5e-05, 0.1 + 0.2, math.nan),
+                                     (1, 0.1234567, 0.5, 0.25)])
+        text = ("epoch,lr,train_loss,val_metric\n"
+                "0,1.5e-05,0.30000000000000004,nan\n"
+                "1,0.123457,0.5,0.25\n")
+        assert history.csv_text() == text
+        history.write_csv(tmp_path / "history.csv")
+        assert (tmp_path / "history.csv").read_bytes() == text.encode()
+        assert TrainHistory().csv_text() == "epoch,lr,train_loss,val_metric\n"
 
     def test_history_csv_shape(self, tmp_path):
         x, y = _toy_problem(20)
