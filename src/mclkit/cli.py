@@ -21,6 +21,7 @@ from . import checkpoint
 from .datasets import load_dataset, split_semisup
 from .distill import (
     StageMask,
+    _check_teacher,
     train_mcl_baseline,
     train_mclwop,
     train_mclwp,
@@ -255,10 +256,16 @@ def _cmd_train_prior(args, values, seeds, semisup):
 def _cmd_train_student(args, values, seeds):
     method = args.method
     fs_kind = "multilinear" if method == "mcl" else "nonlinear"
+    # The teacher is frozen and checked unchanged by every run, so one load
+    # serves every seed; build checks that each student fits it.
+    teacher = checkpoint.load_checkpoint(args.teacher) if args.teacher else None
 
     def build(bundle, seed):
-        return build_mcl(bundle.signal_shape, values["measurement"], bundle.n_classes,
-                         fs_kind=fs_kind, seed=seed, **_model_settings(values))
+        student = build_mcl(bundle.signal_shape, values["measurement"], bundle.n_classes,
+                            fs_kind=fs_kind, seed=seed, **_model_settings(values))
+        if teacher is not None:
+            _check_teacher(student, teacher)
+        return student
 
     extra = {"model": method}
     if method in ("mcl", "mclwop"):
@@ -266,9 +273,6 @@ def _cmd_train_student(args, values, seeds):
     else:
         mask = StageMask.parse(args.mask or "111")
         extra["mask"] = str(mask)
-        # The teacher is frozen and checked unchanged by every run, so one
-        # load serves every seed.
-        teacher = checkpoint.load_checkpoint(args.teacher)
         transfer = train_mclwp if method == "mclwp" else train_mclwp_semisup
 
         def fit(student, bundle, cfg):

@@ -269,7 +269,8 @@ def split_semisup(bundle: DatasetBundle, labeled_fraction: float, seed: int) -> 
 
     The labeled set keeps ``round(fraction * n_train)`` samples apportioned
     per class by largest remainder (so proportions stay within one sample);
-    the rest move to the unlabeled pool with labels dropped.
+    the rest join the unlabeled pool, after any rows it already holds, with
+    labels dropped.
     """
     if not 0 < labeled_fraction <= 1:
         raise ConfigError("labeled_fraction must lie in (0, 1]")
@@ -302,7 +303,7 @@ def split_semisup(bundle: DatasetBundle, labeled_fraction: float, seed: int) -> 
         bundle,
         train_x=bundle.train_x[keep],
         train_y=bundle.train_y[keep],
-        unlabeled_x=bundle.train_x[~keep],
+        unlabeled_x=np.concatenate([bundle.unlabeled_x, bundle.train_x[~keep]]),
     )
 
 

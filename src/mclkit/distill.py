@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .datasets import DatasetBundle
-from .errors import ConfigError, ShapeMismatchError, StateError
+from .errors import ConfigError, StateError
 from .layers import LayerStack, _forward_chunks
 from .losses import softmax
 from .models import MclModel, PriorModel, hosvd_init
@@ -67,12 +67,7 @@ class StageMask:
     @classmethod
     def all_masks(cls):
         """All 8 masks in binary order (sensing bit most significant)."""
-        return [
-            cls(bool(a), bool(b), bool(c))
-            for a in (0, 1)
-            for b in (0, 1)
-            for c in (0, 1)
-        ]
+        return [cls.parse(f"{i:03b}") for i in range(8)]
 
     def __str__(self):
         return "".join("1" if b else "0" for b in (self.sensing, self.synthesis, self.distill))
@@ -122,12 +117,14 @@ def copy_stack_params(src: LayerStack, dst: LayerStack) -> bool:
     return True
 
 
-def _check_measurement_match(student, teacher):
-    if student.sensing.out_shape != teacher.sensing.out_shape:
-        raise ShapeMismatchError(
-            f"student measurement {student.sensing.out_shape} differs from "
-            f"teacher measurement {teacher.sensing.out_shape}"
-        )
+def _check_teacher(student, teacher):
+    """Raise :class:`ConfigError` unless the student shares the teacher's signal
+    shape, measurement and class count, which the three transfer stages match."""
+    for what, ours, theirs in (("signal shape", student.signal_shape, teacher.signal_shape),
+                               ("measurement", student.measurement, teacher.measurement),
+                               ("class count", student.n_classes, teacher.n_classes)):
+        if ours != theirs:
+            raise ConfigError(f"student {what} {ours} differs from teacher {what} {theirs}")
 
 
 def _fit(stacks, bundle, cfg) -> TrainHistory:
@@ -230,7 +227,8 @@ def train_prior_semisup(prior: PriorModel, bundle: DatasetBundle,
 
 def stage1_transfer(student: MclModel, teacher, x, val_x, cfg: TrainConfig) -> TrainHistory:
     """Fit the student's separable sensing to the teacher's measurements
-    (mean-absolute gap); only the sensing factors update."""
+    (mean-absolute gap); only the sensing factors update.  A teacher that
+    does not fit the student raises :class:`ConfigError`."""
     return _match(student, teacher, 1, x, val_x, cfg)
 
 
@@ -239,7 +237,7 @@ def stage2_transfer(student: MclModel, teacher, x, val_x, cfg: TrainConfig) -> T
 
     When the synthesis stacks are structurally identical the student's is
     first initialised from the teacher's; otherwise the student keeps its own
-    initialisation.
+    initialisation.  A teacher that does not fit raises :class:`ConfigError`.
     """
     return _match(student, teacher, 2, x, val_x, cfg)
 
@@ -249,7 +247,7 @@ def _match(student, teacher, depth, x, val_x, cfg, targets=(None, None)):
     ``depth`` by the mean-absolute gap of their outputs.  ``targets`` are
     the teacher's (training, validation) rows when computed beforehand;
     None runs the teacher on each batch."""
-    _check_measurement_match(student, teacher)
+    _check_teacher(student, teacher)
     if depth == 2:
         copy_stack_params(teacher.synthesis, student.synthesis)
     return train(
@@ -263,11 +261,9 @@ def stage3_transfer(student: MclModel, teacher, x, y, val_x, val_y,
     """Discriminative training with a symmetric-KL pull toward the teacher's
     predictions (weighted by ``cfg.distill_weight``; the teacher's raw
     predictions are used directly, no temperature).  ``y`` is the labels, or
-    :meth:`SupervisedObjective.pack` of them and the teacher's logits on ``x``."""
-    if teacher.n_classes != student.n_classes:
-        raise ConfigError(
-            f"class counts differ: student {student.n_classes}, teacher {teacher.n_classes}"
-        )
+    :meth:`SupervisedObjective.pack` of them and the teacher's logits on ``x``.
+    A teacher that does not fit the student raises :class:`ConfigError`."""
+    _check_teacher(student, teacher)
     copy_stack_params(teacher.head, student.head)
     return train(
         SupervisedObjective(student.stacks(), teacher.stacks(), cfg.distill_weight),
@@ -328,9 +324,10 @@ def _transfer(students, masks, teacher, bundle, cfg, pool_x=()):
 
     The matching stages run first for every mask, sharing common prefixes,
     then each mask's final stage; the teacher is checked unchanged after
-    every mask.
+    every mask.  Each student is checked against the teacher first.
     """
-    _check_measurement_match(students[0], teacher)
+    for student in students:
+        _check_teacher(student, teacher)
     teacher_before = [p.value.copy() for p in teacher.all_params()]
     x, y = bundle.train_x, bundle.train_y
     if len(pool_x):

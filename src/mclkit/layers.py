@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import _BLAS_THREADS, tensor
-from .errors import ConfigError, NonFiniteError, ShapeMismatchError, StateError
+from .errors import NonFiniteError, ShapeMismatchError, StateError
 
 __all__ = [
     "Param",
@@ -319,28 +319,16 @@ class ModeProjection(Layer):
 
     kind = "mode_projection"
 
-    def __init__(self, in_shape, target_dims, rng=None, factors=None, dtype=np.float32):
+    def __init__(self, in_shape, target_dims, rng, dtype=np.float32):
         super().__init__()
         self.in_shape = tuple(int(d) for d in in_shape)
         self.target_dims = tuple(int(d) for d in target_dims)
         if len(self.in_shape) != len(self.target_dims):
             raise ShapeMismatchError("in_shape and target_dims must have equal rank")
-        if factors is None:
-            if rng is None:
-                raise ConfigError("mode projection needs an rng or factors")
-            factors = [
-                glorot_uniform(rng, (m, i), i, m, dtype)
-                for m, i in zip(self.target_dims, self.in_shape)
-            ]
-        self.params = []
-        for k, f in enumerate(factors):
-            f = np.asarray(f, dtype=dtype)
-            if f.shape != (self.target_dims[k], self.in_shape[k]):
-                raise ShapeMismatchError(
-                    f"mode {k}: factor shape {f.shape} does not match "
-                    f"({self.target_dims[k]}, {self.in_shape[k]})"
-                )
-            self.params.append(Param(f"f{k}", f, norm_axes=(1,)))
+        self.params = [
+            Param(f"f{k}", glorot_uniform(rng, (m, i), i, m, dtype), norm_axes=(1,))
+            for k, (m, i) in enumerate(zip(self.target_dims, self.in_shape))
+        ]
 
     @property
     def factors(self):

@@ -138,13 +138,12 @@ class _CompressiveModel:
 
 class MclModel(_CompressiveModel):
     """Multilinear-sensing student: separable sensing factors plus a feature
-    synthesis stack that is either purely multilinear or convolutional."""
+    synthesis stack, one separable back-projection (``fs_kind`` 'multilinear')
+    or convolutional ('nonlinear')."""
 
-    def __init__(self, sensing, synthesis, head, signal_shape, measurement,
-                 n_classes, fs_kind, width, capacity):
-        super().__init__(sensing, synthesis, head, signal_shape, measurement, n_classes,
-                         width, capacity)
-        self.fs_kind = fs_kind
+    @property
+    def fs_kind(self) -> str:
+        return "multilinear" if len(self.synthesis.layers) == 1 else "nonlinear"
 
     @property
     def sensing_factors(self):
@@ -154,11 +153,9 @@ class MclModel(_CompressiveModel):
 class PriorModel(_CompressiveModel):
     """Nonlinear teacher whose measurement tensor matches the student's shape."""
 
-    def __init__(self, sensing, synthesis, head, signal_shape, measurement,
-                 n_classes, width, capacity, pool_stages):
-        super().__init__(sensing, synthesis, head, signal_shape, measurement, n_classes,
-                         width, capacity)
-        self.pool_stages = int(pool_stages)
+    @property
+    def pool_stages(self) -> int:
+        return _pool_stage_count(self.signal_shape, self.measurement.dims)
 
 
 def _prologue(signal_shape, measurement, n_classes, width, capacity):
@@ -230,7 +227,7 @@ def _encoder_layers(signal_shape, m_dims, width, per_block, rng):
     layers += _conv_block(ch, width, per_block, rng)
     pooled = (h >> p, w >> p, width)
     layers.append(ModeProjection(pooled, m_dims, rng=rng))
-    return layers, p
+    return layers
 
 
 def _decoder_layers(signal_shape, m_dims, width, per_block, rng):
@@ -247,14 +244,14 @@ def _decoder_layers(signal_shape, m_dims, width, per_block, rng):
 
 
 def _assemble(cls, signal_shape, measurement, n_classes, width, capacity, rng,
-              sensing, synthesis, **kind):
+              sensing, synthesis):
     """The model of class ``cls`` from its sensing and synthesis layers and
     a head whose layers are drawn from ``rng`` last."""
     return cls(LayerStack(sensing, signal_shape, name="sensing"),
                LayerStack(synthesis, measurement.dims, name="synthesis"),
                LayerStack(_head_layers(signal_shape, width, n_classes, rng), signal_shape,
                           name="head"),
-               signal_shape, measurement, n_classes, width=width, capacity=capacity, **kind)
+               signal_shape, measurement, n_classes, width=width, capacity=capacity)
 
 
 def build_mcl(signal_shape, measurement, n_classes, fs_kind="multilinear",
@@ -277,7 +274,7 @@ def build_mcl(signal_shape, measurement, n_classes, fs_kind="multilinear",
     else:
         synthesis = _decoder_layers(signal_shape, m_dims, width, per_block, rng)
     return _assemble(MclModel, signal_shape, measurement, n_classes, width, capacity, rng,
-                     sensing, synthesis, fs_kind=fs_kind)
+                     sensing, synthesis)
 
 
 def build_prior(signal_shape, measurement, n_classes, width=16, capacity="small",
@@ -293,10 +290,10 @@ def build_prior(signal_shape, measurement, n_classes, width=16, capacity="small"
         signal_shape, measurement, n_classes, width, capacity)
     rng = np.random.default_rng(seed)
     m_dims = measurement.dims
-    sensing, p = _encoder_layers(signal_shape, m_dims, width, per_block, rng)
+    sensing = _encoder_layers(signal_shape, m_dims, width, per_block, rng)
     synthesis = _decoder_layers(signal_shape, m_dims, width, per_block, rng)
     return _assemble(PriorModel, signal_shape, measurement, n_classes, width, capacity, rng,
-                     sensing, synthesis, pool_stages=p)
+                     sensing, synthesis)
 
 
 def hosvd_init(model: MclModel, train_samples) -> None:

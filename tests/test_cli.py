@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import mclkit
-from mclkit import TrainConfig, build_mcl, save_dataset, split_semisup, synth_dataset
-from mclkit.datasets import write_split
+from mclkit import (TrainConfig, build_mcl, build_prior, save_dataset, split_semisup,
+                    synth_dataset)
+from mclkit.datasets import read_split, write_split
 from mclkit.checkpoint import save_checkpoint
 from mclkit.cli import main, read_config_file
 from mclkit.errors import ConfigError
@@ -213,9 +214,17 @@ class TestValidation:
         ("train-prior", [], "max_norm=nan"),
         ("train-student", ["--method", "mcl", "--width", "0"], ""),
         ("ablate", ["--width", "0"], ""),
-    ], ids=["train-prior-max_norm", "train-student-width", "ablate-width"])
+        ("train-student", ["--method", "mclwp", "--teacher", "2x2x1"], ""),
+        ("train-student", ["--method", "mclwp", "--teacher", "classes"], ""),
+        ("train-student", ["--method", "mclwp", "--teacher", "signal"], ""),
+        ("train-student", ["--method", "mclwp-s", "--teacher", "2x2x1"], ""),
+        ("ablate", ["--teacher", "2x2x1"], ""),
+    ], ids=["train-prior-max_norm", "train-student-width", "ablate-width",
+            "mclwp-teacher-measurement", "mclwp-teacher-classes", "mclwp-teacher-signal",
+            "mclwp-s-teacher-measurement", "ablate-teacher-measurement"])
     def test_bad_setting_leaves_no_out_directory(self, dataset_dir, config_file, tmp_path,
-                                                 command, flags, line):
+                                                 unfit_teachers, command, flags, line):
+        flags = [str(unfit_teachers[f]) if f in unfit_teachers else f for f in flags]
         cfg = tmp_path / "extra.cfg"
         cfg.write_text(config_file.read_text() + line + "\n")
         out = tmp_path / "out"
@@ -292,6 +301,18 @@ class TestTrainCommands:
         assert code == 0
         assert json.loads((out / "manifest.json").read_text())["mask"] == "111"
 
+    def test_labeled_fraction_keeps_the_file_pool(self, dataset_dir, config_file, tmp_path):
+        # The semi set's train.mcld already holds pool rows; splitting its
+        # labeled rows again adds to that pool.
+        out = tmp_path / "prior_s"
+        code = main(["train-prior-semisup", "--dataset", str(dataset_dir / "semi"),
+                     "--config", str(config_file), "--measurement", "3x3x1",
+                     "--labeled-fraction", "0.5", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "manifest.json").read_text())["report"]
+        rows = len(read_split(dataset_dir / "semi" / "train.mcld")[0])
+        assert report["final_labeled"] + report["final_pool"] == rows
+
     def test_config_file_sets_every_train_setting(self, dataset_dir, tmp_path):
         settings = {
             "epochs": ("3", 3),
@@ -319,6 +340,20 @@ class TestTrainCommands:
         out = tmp_path / "multi"
         assert _train_prior(dataset_dir, config_file, out, seed="0,1") == 0
         assert sorted(p.name for p in out.iterdir()) == ["seed_0", "seed_1"]
+
+
+@pytest.fixture(scope="module")
+def unfit_teachers(tmp_path_factory):
+    """Untrained teacher checkpoints that each differ from a 3x3x1 student of
+    the 8x8x1, 3-class test set in one respect."""
+    root = tmp_path_factory.mktemp("unfit")
+    paths = {}
+    for name, signal, dims, classes in (("2x2x1", (8, 8, 1), (2, 2, 1), 3),
+                                        ("classes", (8, 8, 1), (3, 3, 1), 4),
+                                        ("signal", (16, 16, 1), (3, 3, 1), 3)):
+        paths[name] = root / f"{name}.mclk"
+        save_checkpoint(build_prior(signal, dims, classes, width=4, seed=0), paths[name])
+    return paths
 
 
 @pytest.fixture(scope="module")

@@ -371,6 +371,12 @@ class TestSplitSemisup:
             share = np.sum(out.train_y == c)
             assert abs(share - 0.4 * 30) <= 1
 
+    def test_existing_pool_rows_are_kept(self):
+        first = split_semisup(self._bundle(), 0.5, seed=0)
+        second = split_semisup(first, 0.5, seed=1)
+        assert np.array_equal(second.unlabeled_x[:first.n_unlabeled], first.unlabeled_x)
+        assert len(second.train_x) + second.n_unlabeled == len(first.train_x) + first.n_unlabeled
+
     def test_empty_class_rejected(self):
         b = self._bundle(n_per_class=3)
         with pytest.raises(ConfigError):

@@ -9,6 +9,7 @@ from mclkit import (
     accuracy,
     build_mcl,
     build_prior,
+    run_ablation,
     self_label_select,
     split_semisup,
     stage1_transfer,
@@ -25,7 +26,7 @@ from mclkit import (
 from mclkit import distill
 from mclkit.checkpoint import content_crc
 from mclkit.distill import copy_stack_params
-from mclkit.errors import ConfigError, MclError, NonFiniteError, ShapeMismatchError, StateError
+from mclkit.errors import ConfigError, MclError, NonFiniteError, StateError
 from mclkit.layers import LayerStack, ModeProjection, _forward_chunks
 from mclkit.models import PriorModel
 from mclkit.optimize import SupervisedObjective, train
@@ -60,13 +61,11 @@ def _student(seed=1, fs="nonlinear", width=8):
 def _linear_teacher(student, factors, width=4):
     # a teacher whose sensing is an exact separable map (realizable by the student)
     scaffold = build_prior(SIGNAL, student.measurement.dims, 3, width=width, seed=0)
-    sensing = LayerStack(
-        [ModeProjection(SIGNAL, student.measurement.dims,
-                        factors=[f.copy() for f in factors])],
-        SIGNAL, name="sensing",
-    )
-    return PriorModel(sensing, scaffold.synthesis, scaffold.head, SIGNAL,
-                      student.measurement, 3, width, "small", scaffold.pool_stages)
+    proj = ModeProjection(SIGNAL, student.measurement.dims, np.random.default_rng(0))
+    for param, factor in zip(proj.params, factors):
+        param.value[...] = factor
+    return PriorModel(LayerStack([proj], SIGNAL, name="sensing"), scaffold.synthesis,
+                      scaffold.head, SIGNAL, student.measurement, 3, width, "small")
 
 
 class TestTeacherTraining:
@@ -127,7 +126,7 @@ class TestStage1:
     def test_measurement_mismatch_rejected(self, bundle, trained_teacher, quick_cfg):
         teacher, _ = trained_teacher
         student = build_mcl(SIGNAL, (2, 2, 1), 3, seed=0)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ConfigError, match="measurement"):
             stage1_transfer(student, teacher, bundle.train_x, bundle.val_x, quick_cfg)
 
 
@@ -340,6 +339,32 @@ class TestMclwpPipeline:
         monkeypatch.setattr(distill, "_match", match_that_touches_the_teacher)
         with pytest.raises(StateError, match="teacher parameter"):
             train_mclwp(_student(seed=10), teacher, bundle, quick_cfg, StageMask())
+
+    @pytest.mark.parametrize("run", ["mclwp", "mclwp-semisup", "ablation"])
+    @pytest.mark.parametrize("what,signal,meas,classes", [
+        ("signal shape", (16, 16, 1), MEAS, 3),
+        ("measurement", SIGNAL, (2, 2, 1), 3),
+        ("class count", SIGNAL, MEAS, 4),
+    ], ids=["signal-shape", "measurement", "class-count"])
+    def test_unfit_teacher_raises_before_any_training(self, bundle, quick_cfg, monkeypatch,
+                                                      run, what, signal, meas, classes):
+        calls = []
+
+        def counted_train(*args, **kwargs):
+            calls.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(distill, "train", counted_train)
+        teacher = build_prior(signal, meas, classes, width=4, seed=0)
+        runs = {
+            "mclwp": lambda: train_mclwp(_student(width=4), teacher, bundle, quick_cfg),
+            "mclwp-semisup": lambda: train_mclwp_semisup(
+                _student(width=4), teacher, split_semisup(bundle, 0.5, seed=0), quick_cfg),
+            "ablation": lambda: run_ablation(bundle, quick_cfg, MEAS, teacher=teacher, width=4),
+        }
+        with pytest.raises(ConfigError, match=f"student {what} .* differs from teacher {what}"):
+            runs[run]()
+        assert calls == []
 
     def test_non_finite_teacher_is_a_typed_error(self, bundle, quick_cfg):
         # A NaN encoder weight reaches the encoder's mode projection, both in

@@ -43,14 +43,14 @@ def test_relu_zero_gradient_at_negative_input():
 def test_layers_without_rng_or_factors_raise():
     with pytest.raises(TypeError):
         Conv2d(2, 3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):
         ModeProjection((4, 4, 1), (2, 2, 1))
 
 
 def test_mode_projection_identity_factors():
-    proj = ModeProjection((3, 4, 2), (3, 4, 2),
-                          factors=[np.eye(3), np.eye(4), np.eye(2)],
-                          dtype=np.float64)
+    proj = ModeProjection((3, 4, 2), (3, 4, 2), np.random.default_rng(0), dtype=np.float64)
+    for param, factor in zip(proj.params, (np.eye(3), np.eye(4), np.eye(2))):
+        param.value[...] = factor
     stack = LayerStack([proj], (3, 4, 2))
     x = np.random.default_rng(1).normal(size=(2, 3, 4, 2))
     assert np.array_equal(stack.forward(x), x)

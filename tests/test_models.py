@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mclkit import layers, tensor
+from mclkit.checkpoint import content_crc
 from mclkit.distill import self_label_select
 from mclkit.errors import ConfigError, ShapeMismatchError
 from mclkit.layers import MaxPool2, ModeProjection
@@ -145,6 +146,25 @@ def test_stacks_is_the_chain(build):
     for got, want in ((m.measurements(x), z), (m.features(x), f),
                       (m.forward_logits(x), m.head.forward(f))):
         assert np.array_equal(got, want)
+
+
+# The payload CRC of a freshly built model at each benchmark shape (seed 0)
+# pins every initial value, and with it the builders' rng draw order.
+@pytest.mark.parametrize("build,signal,dims,classes,settings,crc", [
+    (build_prior, (16, 16, 1), (4, 4, 1), 4, dict(width=12), 0x002891C1),
+    (build_mcl, (16, 16, 1), (4, 4, 1), 4, dict(fs_kind="nonlinear", width=12), 0x66CA8AEB),
+    (build_prior, (32, 32, 3), (6, 6, 1), 10, dict(width=16), 0x8A1DAF3C),
+    (build_prior, (32, 32, 3), (14, 11, 2), 10, dict(width=16), 0x8F062C44),
+    (build_mcl, (32, 32, 3), (14, 11, 2), 10, dict(fs_kind="multilinear"), 0xCA4C547D),
+], ids=["desk-teacher", "desk-student", "paper-teacher-6x6x1", "paper-teacher-14x11x2",
+        "paper-multilinear-student"])
+def test_fresh_model_bytes_are_pinned(build, signal, dims, classes, settings, crc):
+    assert content_crc(build(signal, dims, classes, seed=0, **settings)) == crc
+
+
+@pytest.mark.parametrize("fs_kind", ["multilinear", "nonlinear"])
+def test_fs_kind_is_read_from_the_synthesis_stack(fs_kind):
+    assert build_mcl((8, 8, 1), (4, 4, 1), 3, fs_kind=fs_kind, width=4, seed=0).fs_kind == fs_kind
 
 
 class TestBuildPrior:
